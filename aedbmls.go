@@ -33,10 +33,10 @@ type Config struct {
 	// through the batched evaluation engine. 0 or 1 is the paper's
 	// single-candidate step.
 	NeighborhoodSize int
-	// ScenarioWorkers fans each evaluation's committee across up to this
-	// many goroutines (committee-parallel evaluation, bit-identical
-	// metrics). 0 or 1 evaluates the committee serially, which is right
-	// when Populations x Workers already saturates the cores.
+	// ScenarioWorkers is the committee width of each evaluation
+	// (eval.WithScenarioWorkers; bit-identical metrics for any value):
+	// 0 derives it from GOMAXPROCS, 1 evaluates the committee serially,
+	// n > 1 caps it at n.
 	ScenarioWorkers int
 	// BatchWorkers caps the goroutines of one batched evaluation wave set
 	// (0 = GOMAXPROCS).
@@ -140,9 +140,7 @@ func Tune(cfg Config) (*Result, error) {
 	if cfg.Committee > 0 {
 		opts = append(opts, eval.WithCommittee(cfg.Committee))
 	}
-	if cfg.ScenarioWorkers > 1 {
-		opts = append(opts, eval.WithScenarioWorkers(cfg.ScenarioWorkers))
-	}
+	opts = append(opts, eval.WithScenarioWorkers(cfg.ScenarioWorkers))
 	if cfg.BatchWorkers > 0 {
 		opts = append(opts, eval.WithBatchWorkers(cfg.BatchWorkers))
 	}

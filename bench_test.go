@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper at reduced
-// scale (see DESIGN.md's per-experiment index; cmd/aedb-experiments runs
-// the same code at full scale). Each benchmark iteration executes one
+// scale (see cmd/README.md for the experiment each binary reproduces;
+// cmd/aedb-experiments runs the same code at full scale). Each benchmark iteration executes one
 // complete experiment unit, so ns/op measures end-to-end artifact cost.
 //
 // Run with:

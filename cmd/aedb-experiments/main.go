@@ -1,9 +1,9 @@
 // Command aedb-experiments regenerates the paper's tables and figures
-// (see the per-experiment index in DESIGN.md).
+// (see cmd/README.md for the binary → experiment map).
 //
 // Usage:
 //
-//	aedb-experiments [-scale tiny|small|paper] [-out dir] [-scenario-workers 1] [-reference-path] [-unshared-tapes]
+//	aedb-experiments [-scale tiny|small|paper] [-out dir] [-scenario-workers 0] [-reference-path] [-unshared-tapes]
 //	                 [-exact-physics] [-only fig2,tab1,fig6,fig7,tab4,timing,config,ablation,memetic,beacons,mobility,spea2]
 //	                 [-checkpoint-dir dir] [-checkpoint-every 1000]
 //
@@ -41,12 +41,12 @@ func main() {
 	cliutil.SetUsage("aedb-experiments",
 		"Regenerate the paper's tables and figures (Fig. 2, Table I, Fig. 6/7,\n"+
 			"Table IV, the timing comparison, the Sect. V configuration analysis and\n"+
-			"the ablations) at tiny/small/paper scale; see DESIGN.md for the index.")
+			"the ablations) at tiny/small/paper scale; see cmd/README.md for the index.")
 	scaleName := flag.String("scale", "small", "experimental scale: tiny, small or paper")
 	only := flag.String("only", "", "comma-separated subset of experiments (default: all)")
 	seed := flag.Uint64("seed", 0, "override the base seed (0 keeps the scale default)")
 	outDir := flag.String("out", "", "directory for machine-readable bundles (JSON) and fronts (CSV); empty disables")
-	scenarioWorkers := flag.Int("scenario-workers", 1, "goroutines per evaluation committee (results are bit-identical for any value)")
+	scenarioWorkers := flag.Int("scenario-workers", 0, "goroutines per evaluation committee (0 = GOMAXPROCS, 1 = serial; results are bit-identical for any value)")
 	referencePath := flag.Bool("reference-path", false, "evaluate through the full-tail reference engine (bit-identical metrics, slower)")
 	unsharedTapes := flag.Bool("unshared-tapes", false, "record beacon tapes per problem instead of sharing the process-wide cache (bit-identical metrics)")
 	exactPhysics := flag.Bool("exact-physics", false, "reference per-call path-loss physics instead of the fused d2-space kernel (paper-exact energy bits, slower)")

@@ -5,7 +5,7 @@
 //
 //	aedb-mls [-density 100] [-seed 1] [-pops 8] [-workers 12]
 //	         [-evals 250] [-reset 50] [-alpha 0.2] [-committee 10]
-//	         [-neighborhood 1] [-scenario-workers 1] [-reference-path]
+//	         [-neighborhood 1] [-scenario-workers 0] [-reference-path]
 //	         [-unshared-tapes] [-exact-physics]
 //	         [-checkpoint run.ckpt] [-resume run.ckpt] [-checkpoint-every 500]
 //
@@ -46,7 +46,7 @@ func main() {
 	alpha := flag.Float64("alpha", 0.2, "BLX-alpha perturbation magnitude (paper: 0.2)")
 	committee := flag.Int("committee", 10, "frozen networks per evaluation (paper: 10)")
 	neighborhood := flag.Int("neighborhood", 1, "candidate moves batched per local-search iteration (1 = paper's step)")
-	scenarioWorkers := flag.Int("scenario-workers", 1, "goroutines per evaluation committee (1 = serial committee)")
+	scenarioWorkers := flag.Int("scenario-workers", 0, "goroutines per evaluation committee (0 = GOMAXPROCS, 1 = serial committee; bit-identical metrics)")
 	referencePath := flag.Bool("reference-path", false, "evaluate through the full-tail reference engine (bit-identical metrics, slower)")
 	unsharedTapes := flag.Bool("unshared-tapes", false, "record beacon tapes per problem instead of sharing the process-wide cache (bit-identical metrics)")
 	exactPhysics := flag.Bool("exact-physics", false, "reference per-call path-loss physics instead of the fused d2-space kernel (paper-exact energy bits, slower)")

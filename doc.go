@@ -106,13 +106,17 @@
 // moo.BatchProblem: the MLS batched neighborhood step
 // (core.Config.NeighborhoodSize, aedbmls.Config.NeighborhoodSize),
 // core.ImproveBatch, and whole-generation evaluation in NSGA-II, SPEA2
-// and CellDE's initial grid. eval.WithScenarioWorkers(n) fans the
-// ten-network committee of a single Evaluate across goroutines
-// (aedbmls.Config.ScenarioWorkers, -scenario-workers), cutting
-// evaluation latency when optimiser-level parallelism leaves cores idle.
-// All paths reduce the committee average in committee order, so results
-// are bit-identical for any worker count.
+// and CellDE's initial grid. A single Evaluate fans its ten-network
+// committee out by default: the calling goroutine and up to
+// GOMAXPROCS-1 helpers claim scenarios from a shared counter, so a cold
+// committee's warm-up and tape builds and every candidate simulation
+// use every core, and cores an optimiser's workers leave idle are
+// filled. eval.WithScenarioWorkers(n) (aedbmls.Config.ScenarioWorkers,
+// -scenario-workers) sets the width: 0 derives it, 1 is serial, n caps
+// it. All paths reduce the committee average in committee order, so
+// results are bit-identical for any worker count.
 //
-// See README.md for a quickstart and DESIGN.md for the full system
-// inventory and per-experiment index.
+// See ARCHITECTURE.md for the evaluation pipeline, cmd/README.md for the
+// binaries and the experiment each reproduces, and PERF.md for how each
+// engine layer was measured.
 package aedbmls

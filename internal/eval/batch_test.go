@@ -93,17 +93,17 @@ func TestEvaluateBatchPathVariants(t *testing.T) {
 }
 
 // TestScenarioWorkersBitIdentical: committee-parallel evaluation must be
-// bit-identical to serial evaluation for any worker count, on all three
-// entry points.
+// bit-identical to serial evaluation for any worker count (0 = the
+// derived default), on all three entry points.
 func TestScenarioWorkersBitIdentical(t *testing.T) {
 	params := aedb.Params{MinDelay: 0.08, MaxDelay: 0.45, BorderThresholdDBm: -84, MarginDBm: 1.1, NeighborsThreshold: 14}
 	x := params.Vector()
 	for _, density := range []int{100, 300} {
-		serial := NewProblem(density, 5, WithCommittee(4))
+		serial := NewProblem(density, 5, WithCommittee(4), WithScenarioWorkers(1))
 		wantF, wantV, _ := serial.Evaluate(x)
 		wantM := serial.Simulate(params)
 		wantP := serial.SimulateProtocol(aedb.NewFlooding(0.05, 0.2))
-		for _, workers := range []int{2, 4, 16} {
+		for _, workers := range []int{0, 2, 4, 16} {
 			p := NewProblem(density, 5, WithCommittee(4), WithScenarioWorkers(workers))
 			f, v, _ := p.Evaluate(x)
 			for k := range f {

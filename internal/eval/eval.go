@@ -75,9 +75,13 @@
 //     committee scenario streams every candidate through that scenario,
 //     reusing one arena per wave, and waves fan out across up to
 //     WithBatchWorkers goroutines.
-//   - WithScenarioWorkers(n) fans the committee of every single
-//     Evaluate/Simulate/SimulateProtocol call across goroutines,
-//     reducing single-evaluation latency on idle cores.
+//   - Every single Evaluate/Simulate/SimulateProtocol call fans its
+//     committee out by default: the calling goroutine claims scenario
+//     indices from a shared counter alongside up to GOMAXPROCS-1 helper
+//     goroutines, so the lazy first-use builds (shared warm-up parent,
+//     mask, beacon tape) and every per-candidate simulation run on every
+//     core. WithScenarioWorkers(1) keeps a call on its goroutine; n > 1
+//     caps the width.
 //
 // Every path accumulates the committee average through the same ordered
 // reduction (reduceCommittee), so results are bit-identical across all of
@@ -322,12 +326,19 @@ func WithConfig(cfg manet.Config) Option { return func(p *Problem) { p.cfg = cfg
 // from t=0; the two paths produce bit-identical metrics.
 func WithWarmStart(enabled bool) Option { return func(p *Problem) { p.warmStart = enabled } }
 
-// WithScenarioWorkers fans the committee of every Evaluate, Simulate and
-// SimulateProtocol call across up to n goroutines (committee-parallel
-// evaluation). Per-scenario results are reduced in committee order, so
-// metrics are bit-identical to the serial path for any n. n <= 1 (the
-// default) keeps each evaluation on its calling goroutine, which is right
-// whenever the optimiser above already saturates the cores.
+// WithScenarioWorkers sets the committee width of every Evaluate,
+// Simulate and SimulateProtocol call: the calling goroutine plus up to
+// n-1 helpers claim the committee's scenarios from a shared counter.
+// 0 (the default) derives the width from GOMAXPROCS, 1 keeps each call
+// on its calling goroutine, and n > 1 caps the width at n; no width ever
+// exceeds the committee size. Per-scenario results are reduced in
+// committee order, so metrics are bit-identical for any width.
+//
+// The derived default pays off even under an optimiser that runs one
+// evaluation per core: candidate cost varies and optimiser barriers make
+// workers wait, so a serial committee leaves cores idle that the helpers
+// fill, and a cold committee's warm-up and tape builds run on every core
+// instead of one.
 func WithScenarioWorkers(n int) Option { return func(p *Problem) { p.scenarioWorkers = n } }
 
 // WithBatchWorkers caps the goroutines an EvaluateBatch call fans its
@@ -576,18 +587,19 @@ func reduceCommittee(terms []Metrics) Metrics {
 	return sum
 }
 
-// runCommittee evaluates the factory on every committee scenario, fanning
-// across scenario workers when configured. A committee whose scenarios
-// cannot all be evaluated — even after supervised retries and the serial
-// fallback — degrades to FailedMetrics instead of taking down the run.
+// runCommittee evaluates the factory on every committee scenario, fanned
+// out at the committee width (see WithScenarioWorkers). A committee whose
+// scenarios cannot all be evaluated — even after supervised retries and
+// the serial fallback — degrades to FailedMetrics instead of taking down
+// the run.
 func (p *Problem) runCommittee(factory func(*manet.Node) manet.Protocol) Metrics {
 	p.health.fullEvals.Add(1)
 	terms := make([]Metrics, len(p.scenarios))
 	errs := make([]error, len(p.scenarios))
-	p.forEachScenario(len(p.scenarios), p.scenarioWorkers, func(i int) {
+	width := p.forEachScenario(len(p.scenarios), widthOf(p.scenarioWorkers), func(i int) {
 		terms[i], errs[i] = p.supervisedScenario(factory, i, 0)
 	})
-	if err := p.settleCommittee(factory, terms, errs, p.scenarioWorkers > 1, 0); err != nil {
+	if err := p.settleCommittee(factory, terms, errs, width > 1, 0); err != nil {
 		return FailedMetrics()
 	}
 	return reduceCommittee(terms)
@@ -751,34 +763,37 @@ func stopRequested(stop <-chan struct{}) bool {
 	}
 }
 
-// forEachScenario runs fn(i) for the first n committee scenario indices,
-// across up to workers goroutines (inline when workers <= 1).
-func (p *Problem) forEachScenario(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+// forEachScenario runs fn(i) for the first n committee scenario indices
+// at width min(workers, n): the calling goroutine claims indices from a
+// shared counter alongside width-1 helper goroutines (it runs them inline
+// when the width is 1). It returns the width that actually ran, which is
+// what decides whether a failed cell earns a serial re-attempt (see
+// settleCommittee).
+func (p *Problem) forEachScenario(n, workers int, fn func(i int)) int {
+	width := min(workers, n)
+	if width <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
-		return
+		return 1
 	}
 	var next atomic.Int64
+	claim := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(width - 1)
+	for w := 1; w < width; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			claim()
 		}()
 	}
+	claim()
 	wg.Wait()
+	return width
 }
 
 // snapshot lazily builds (once, thread-safely) the warm-start snapshot of
@@ -1187,13 +1202,12 @@ func (p *Problem) runWaves(factories []func(*manet.Node) manet.Protocol, nsc int
 	n := len(factories)
 	terms := make([]Metrics, n*nsc) // terms[j*nsc+i]: candidate j, scenario i
 	errs := make([]error, n*nsc)
-	workers := p.batchWorkerCount()
-	p.forEachScenario(nsc, workers, func(i int) { p.batchWave(factories, i, nsc, bound, terms, errs) })
+	width := p.forEachScenario(nsc, widthOf(p.batchWorkers), func(i int) { p.batchWave(factories, i, nsc, bound, terms, errs) })
 
 	ms := make([]Metrics, n)
 	stopped := make([]bool, n)
 	for j := 0; j < n; j++ {
-		err := p.settleCommittee(factories[j], terms[j*nsc:(j+1)*nsc], errs[j*nsc:(j+1)*nsc], workers > 1, bound)
+		err := p.settleCommittee(factories[j], terms[j*nsc:(j+1)*nsc], errs[j*nsc:(j+1)*nsc], width > 1, bound)
 		switch {
 		case errors.Is(err, ErrStopped):
 			ms[j] = FailedMetrics()
@@ -1224,17 +1238,14 @@ func batchResultOf(m Metrics, stopped, screened bool) moo.BatchResult {
 	}
 }
 
-// batchWorkerCount resolves the wave-level parallelism of one
-// EvaluateBatch call.
-func (p *Problem) batchWorkerCount() int {
-	w := p.batchWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
+// widthOf resolves a configured fan-out width (WithScenarioWorkers,
+// WithBatchWorkers): 0 derives it from GOMAXPROCS, anything below 1 is
+// serial. forEachScenario caps the result at the number of scenarios.
+func widthOf(configured int) int {
+	if configured == 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(configured, 1)
 }
 
 // batchWave streams every candidate of the batch through committee

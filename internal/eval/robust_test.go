@@ -281,3 +281,63 @@ func TestFingerprintIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestCommitteeOfOneNeverFallsBack: a committee of one scenario runs
+// inline whatever width is configured, so a permanently failing cell
+// must not be "re-attempted serially" — that pass would count a
+// SerialFallback for a cell that never ran in parallel and exceed the
+// WithMaxRetries attempt budget by one.
+func TestCommitteeOfOneNeverFallsBack(t *testing.T) {
+	const maxRetries = 2
+	for _, width := range []int{0, 4} {
+		faultinject.Reset()
+		if err := faultinject.Configure("site=eval.scenario,kind=error"); err != nil {
+			t.Fatal(err)
+		}
+		p := NewProblem(100, 424242, WithCommittee(1), WithScenarioWorkers(width), WithMaxRetries(maxRetries))
+		if f, _, _ := p.Evaluate(robustX); f[0] != failedPenalty {
+			t.Fatalf("width %d: permanent fault did not degrade: %v", width, f)
+		}
+		h := p.Health()
+		if h.SerialFallbacks != 0 || h.Failures != 1 || h.Retries != maxRetries || h.Errors != maxRetries+1 {
+			t.Fatalf("width %d: health %+v, want no fallback, 1 failure, %d retries", width, h, maxRetries)
+		}
+		if hits := faultinject.Hits(faultinject.SiteEvalScenario); hits != maxRetries+1 {
+			t.Fatalf("width %d: %d scenario attempts, want %d", width, hits, maxRetries+1)
+		}
+	}
+	faultinject.Reset()
+}
+
+// TestScreeningRungOfOneNeverFallsBack is the ladder's form of the same
+// contract: a screening rung of committee 1 runs its single wave inline
+// even with several batch workers, so a cell that fails every attempt
+// degrades after exactly maxRetries+1 attempts instead of being rescued
+// by a spurious serial fallback.
+func TestScreeningRungOfOneNeverFallsBack(t *testing.T) {
+	const maxRetries = 2
+	faultinject.Reset()
+	defer faultinject.Reset()
+	want, _, _ := robustProblem().Evaluate(robustX)
+
+	// The fault fails exactly the screening cell's attempt budget; the
+	// fallback pass the bug ran would have succeeded on the next hit.
+	if err := faultinject.Configure("site=eval.scenario,kind=error,times=3"); err != nil {
+		t.Fatal(err)
+	}
+	p := robustProblem(WithBatchWorkers(4), WithMaxRetries(maxRetries), WithFidelity(Fidelity{Committee: 1}))
+	out := p.EvaluateBatch([][]float64{robustX})
+	h := p.Health()
+	if h.SerialFallbacks != 0 || h.Failures != 1 || h.Retries != maxRetries || h.Errors != maxRetries+1 {
+		t.Fatalf("health %+v, want no fallback, 1 failure, %d retries", h, maxRetries)
+	}
+	// The degraded estimate is not dominated by the (empty) fronts, so
+	// the candidate is promoted and its full-committee pass runs clean.
+	if h.ScreenEvals != 1 || h.Promoted != 1 {
+		t.Fatalf("ladder counters %+v, want 1 screened evaluation promoted", h)
+	}
+	if hits := faultinject.Hits(faultinject.SiteEvalScenario); hits != maxRetries+1+2 {
+		t.Fatalf("%d scenario attempts, want %d screening + 2 full", hits, maxRetries+1)
+	}
+	sameF(t, want, out[0].F)
+}

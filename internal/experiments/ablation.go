@@ -8,6 +8,7 @@ import (
 	"aedbmls/internal/archive"
 	"aedbmls/internal/cellde"
 	"aedbmls/internal/core"
+	"aedbmls/internal/eval"
 	"aedbmls/internal/indicators"
 	"aedbmls/internal/stats"
 	"aedbmls/internal/textplot"
@@ -21,7 +22,7 @@ type ArchiveAblationRow struct {
 }
 
 // ArchiveAblationResult compares the AGA archive the paper chose against
-// a crowding-distance archive and an unbounded archive (DESIGN.md A1).
+// a crowding-distance archive and an unbounded archive.
 type ArchiveAblationResult struct {
 	Density int
 	Rows    []ArchiveAblationRow
@@ -102,7 +103,7 @@ type ParallelismRow struct {
 
 // ParallelismAblationResult sweeps the process layout at a fixed total
 // budget, demonstrating the scaling behaviour behind the paper's speedup
-// claim (DESIGN.md A2).
+// claim.
 type ParallelismAblationResult struct {
 	Density int
 	Rows    []ParallelismRow
@@ -115,7 +116,10 @@ func ParallelismAblation(sc Scale, layouts [][2]int, log Logf) (*ParallelismAbla
 		layouts = [][2]int{{1, 1}, {1, 2}, {2, 2}, {2, 4}, {4, 4}}
 	}
 	density := sc.Densities[0]
-	problem := sc.Problem(density)
+	// The sweep measures optimiser-thread scaling, so each evaluation's
+	// committee stays on its worker's goroutine: a fanned-out committee
+	// would put every core behind the 1x1 layout too.
+	problem := eval.NewProblem(density, sc.Seed, append(sc.EvalOptions(), eval.WithScenarioWorkers(1))...)
 	total := sc.MLSEvaluations()
 	res := &ParallelismAblationResult{Density: density}
 	for _, layout := range layouts {
@@ -166,8 +170,7 @@ func (r *ParallelismAblationResult) Render() string {
 }
 
 // MemeticResult compares plain CellDE with the paper's future-work hybrid
-// (CellDE + AEDB-MLS local search) at equal evaluation budgets
-// (DESIGN.md A3).
+// (CellDE + AEDB-MLS local search) at equal evaluation budgets.
 type MemeticResult struct {
 	Density                  int
 	PlainHV, MemeticHV       []float64

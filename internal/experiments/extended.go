@@ -126,9 +126,9 @@ func (r *ExtendedBaselinesResult) Render() string {
 }
 
 // BeaconFidelityResult compares the default instantaneous-beacon medium
-// against full frame-level beacon contention (ablation of the simulator
-// substitution documented in DESIGN.md): the AEDB metrics should be close,
-// justifying the fast default.
+// against full frame-level beacon contention (an ablation of
+// manet.Config.FastBeacons): the AEDB metrics should be close, justifying
+// the fast default.
 type BeaconFidelityResult struct {
 	Density            int
 	Fast, Accurate     eval.Metrics

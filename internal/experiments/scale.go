@@ -1,10 +1,12 @@
 // Package experiments contains one driver per table and figure of the
-// paper (see the per-experiment index in DESIGN.md): the Fast99
+// paper (cmd/README.md maps them to the binaries): the Fast99
 // sensitivity analysis (Fig. 2, Table I), the Pareto-front comparison
 // (Fig. 6 and the dominance counts of Sect. VI), the quality-indicator
 // study (Table IV, Fig. 7), the execution-time comparison, the Sect. V
-// configuration analysis of alpha and the reset period, and the ablations
-// called out in DESIGN.md.
+// configuration analysis of alpha and the reset period, and ablations of
+// the archive, the process layout, the beacon medium and the mobility
+// model, plus the memetic CellDE hybrid the paper names as future work
+// and a SPEA2 baseline the paper does not run.
 //
 // Every driver is parameterised by a Scale so the full paper protocol
 // (30 runs, 24 000 evaluations per AEDB-MLS execution) and fast
@@ -40,9 +42,9 @@ type Scale struct {
 	CellDE cellde.Config
 	// SensitivityN is the Fast99 sample count per factor.
 	SensitivityN int
-	// ScenarioWorkers fans every evaluation's committee across up to this
-	// many goroutines (eval.WithScenarioWorkers); metrics are
-	// bit-identical for any value. 0 or 1 evaluates serially.
+	// ScenarioWorkers is the committee width of every evaluation
+	// (eval.WithScenarioWorkers); metrics are bit-identical for any value.
+	// 0 derives it from GOMAXPROCS, 1 evaluates serially, n > 1 caps it.
 	ScenarioWorkers int
 	// ReferencePath runs every evaluation through the full-tail reference
 	// engine instead of the default fast engine (eval.WithReferencePath).
@@ -169,10 +171,7 @@ func ScaleByName(name string) (Scale, error) {
 // EvalOptions returns the evaluation options every problem of this scale
 // is built with.
 func (s Scale) EvalOptions() []eval.Option {
-	opts := []eval.Option{eval.WithCommittee(s.Committee)}
-	if s.ScenarioWorkers > 1 {
-		opts = append(opts, eval.WithScenarioWorkers(s.ScenarioWorkers))
-	}
+	opts := []eval.Option{eval.WithCommittee(s.Committee), eval.WithScenarioWorkers(s.ScenarioWorkers)}
 	if s.ReferencePath {
 		opts = append(opts, eval.WithReferencePath(true))
 	}

@@ -46,7 +46,6 @@ package manet
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"aedbmls/internal/geom"
 	"aedbmls/internal/mobility"
@@ -942,10 +941,11 @@ func (net *Network) initHotState() {
 // bound grows past a quarter cell (and always when no finite speed bound
 // exists), keeping the inflation — and the candidate excess — small.
 //
-// With sorted true the IDs come back ascending, reproducing the iteration
-// order of a linear scan; callers whose per-candidate effects are
-// independent (beacon table updates) skip the sort.
-func (net *Network) candidates(center geom.Vec2, radius float64, exclude int, sorted bool) []int32 {
+// The IDs come back in grid order, not ascending: every caller's
+// per-candidate effects are either independent (beacon table updates) or
+// re-sorted by a strict total order before they are scheduled
+// (transmitFrame's receptions).
+func (net *Network) candidates(center geom.Vec2, radius float64, exclude int) []int32 {
 	now := net.Sim.Now()
 	slop := 0.0
 	if !net.gridBuilt || now < net.gridTime {
@@ -963,9 +963,6 @@ func (net *Network) candidates(center geom.Vec2, radius float64, exclude int, so
 		slop = 0
 	}
 	net.scratch = net.grid.Query(net.scratch[:0], center, radius+slop, exclude)
-	if sorted {
-		slices.Sort(net.scratch)
-	}
 	return net.scratch
 }
 
@@ -992,7 +989,7 @@ func (net *Network) fastBeacon(n *Node) {
 	px, py := pos.X, pos.Y
 	r2 := net.maxRange * net.maxRange
 	if net.tapeRec == nil {
-		for _, id := range net.candidates(pos, net.maxRange, n.ID, false) {
+		for _, id := range net.candidates(pos, net.maxRange, n.ID) {
 			qx, qy := net.posOf(id, now)
 			dx, dy := px-qx, py-qy
 			d2 := dx*dx + dy*dy
@@ -1011,7 +1008,7 @@ func (net *Network) fastBeacon(n *Node) {
 	// instead of converting per read per candidate.
 	ids := net.physIDs[:0]
 	d2s := net.physD2[:0]
-	for _, id := range net.candidates(pos, net.maxRange, n.ID, false) {
+	for _, id := range net.candidates(pos, net.maxRange, n.ID) {
 		qx, qy := net.posOf(id, now)
 		dx, dy := px-qx, py-qy
 		d2 := dx*dx + dy*dy
@@ -1170,16 +1167,17 @@ func (net *Network) transmitFrame(n *Node, msg *Message, txPowerDBm float64, byt
 	// same structure the reference path uses with RangeFor squared.
 	cut := net.kern.CutoffD2(txPowerDBm, cfg.SensitivityDBm)
 	reach := math.Sqrt(cut)
-	// Candidates gathered in ascending ID order; the admitted receptions
-	// are then sorted by (arrival time, ID) below, which both preserves
-	// the firing order of the historical schedule-in-ID-order scheme —
-	// events fire in (time, seq) order, and among a transmission's
-	// receptions that collapses to (time, ID) either way — and lets the
-	// whole batch ride the simulator's monotone FIFO lane.
+	// Candidates come in grid order; the admitted receptions are sorted
+	// by (arrival time, ID) below — a strict total order, so the result
+	// does not depend on the gathering order — which both preserves the
+	// firing order of the historical schedule-in-ID-order scheme (events
+	// fire in (time, seq) order, and among a transmission's receptions
+	// that collapses to (time, ID) either way) and lets the whole batch
+	// ride the simulator's monotone FIFO lane.
 	ids := net.physIDs[:0]
 	d2s := net.physD2[:0]
 	px, py := pos.X, pos.Y
-	for _, id := range net.candidates(pos, reach, n.ID, true) {
+	for _, id := range net.candidates(pos, reach, n.ID) {
 		qx, qy := net.posOf(id, now)
 		dx, dy := px-qx, py-qy
 		d2 := dx*dx + dy*dy

@@ -222,7 +222,7 @@ func TestLargeScaleSpatialIndex(t *testing.T) {
 	}
 	// A query at the current clock must prune hard: the radio range disc
 	// covers ~4%% of the arena, so candidates must be far below N.
-	ids := net.candidates(net.positionOf(net.Nodes[0]), net.MaxRange(), 0, true)
+	ids := net.candidates(net.positionOf(net.Nodes[0]), net.MaxRange(), 0)
 	if len(ids) >= cfg.NumNodes/2 {
 		t.Fatalf("spatial index degenerated: %d candidates of %d nodes", len(ids), cfg.NumNodes)
 	}
@@ -245,7 +245,7 @@ func TestCandidatesMatchLinearScan(t *testing.T) {
 		now := net.Sim.Now()
 		for _, tx := range []int{0, 17, 59} {
 			center := net.positionOf(net.Nodes[tx])
-			got := append([]int32(nil), net.candidates(center, net.MaxRange(), tx, true)...)
+			got := append([]int32(nil), net.candidates(center, net.MaxRange(), tx)...)
 			inRange := func(id int32) bool {
 				d2 := center.Dist2(net.Nodes[id].mob.Position(now))
 				return d2 <= net.MaxRange()*net.MaxRange()

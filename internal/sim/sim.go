@@ -98,7 +98,7 @@ func (e entry) before(o entry) bool {
 // reception batches) are appended to a plain slice and consumed through
 // a cursor, skipping the heap's O(log n) sift entirely. Entries carry
 // ordinary sequence numbers, so the three-way head comparison in
-// peek/pop yields exactly the (time, seq) total order a single heap
+// popWithin yields exactly the (time, seq) total order a single heap
 // would — the lane is a pure constant-factor optimisation.
 type Simulator struct {
 	now      float64
@@ -219,52 +219,63 @@ func (s *Simulator) push(e entry) {
 	s.heap = h
 }
 
-// peek returns the earliest pending entry without removing it: the
-// smallest of the restored-schedule head, the FIFO-lane head and the
-// heap top under the (time, seq) total order.
-func (s *Simulator) peek() (entry, bool) {
-	var best entry
-	have := false
+// Sources an earliest pending entry can come from (see popWithin).
+const (
+	srcSched = iota
+	srcLane
+	srcHeap
+)
+
+// popWithin removes and returns the earliest pending entry if it fires
+// within the limit: at or before limit when strict is false (any time
+// when limit < 0), strictly before limit when strict is true. It is the
+// one selection pass of every event loop: the restored-schedule head,
+// the FIFO-lane head and the heap top are compared once under the
+// (time, seq) total order, through pointers so no 40-byte entry is copied
+// until the winner is known, and the winning source is consumed without
+// a second comparison. Sequence numbers are unique, so before() is a
+// strict total order and exactly one source holds the minimum.
+func (s *Simulator) popWithin(limit float64, strict bool) (entry, bool) {
+	var best *entry
+	var src int // meaningful once best is set
 	if s.schedIdx < len(s.sched) {
-		best, have = s.sched[s.schedIdx], true
+		best, src = &s.sched[s.schedIdx], srcSched
 	}
 	if s.laneIdx < len(s.lane) {
-		if e := s.lane[s.laneIdx]; !have || e.before(best) {
-			best, have = e, true
+		if e := &s.lane[s.laneIdx]; best == nil || e.before(*best) {
+			best, src = e, srcLane
 		}
 	}
 	if len(s.heap) > 0 {
-		if e := s.heap[0]; !have || e.before(best) {
-			best, have = e, true
+		if e := &s.heap[0]; best == nil || e.before(*best) {
+			best, src = e, srcHeap
 		}
 	}
-	return best, have
-}
-
-// pop removes and returns the earliest entry, consuming the restored
-// schedule and the FIFO lane through their cursors and the heap
-// otherwise. Sequence numbers are unique, so before() is a strict total
-// order and exactly one source holds the minimum.
-func (s *Simulator) pop() entry {
-	hasLane := s.laneIdx < len(s.lane)
-	if s.schedIdx < len(s.sched) {
-		e := s.sched[s.schedIdx]
-		if (!hasLane || e.before(s.lane[s.laneIdx])) && (len(s.heap) == 0 || e.before(s.heap[0])) {
-			s.schedIdx++
-			return e // restored entries are tagged: no closure accounting
-		}
+	if best == nil {
+		return entry{}, false
 	}
-	if hasLane {
-		if e := s.lane[s.laneIdx]; len(s.heap) == 0 || e.before(s.heap[0]) {
-			s.laneIdx++
-			if s.laneIdx == len(s.lane) {
-				// Drained: rewind so the storage is reused, not regrown.
-				s.lane, s.laneIdx = s.lane[:0], 0
-			}
-			return e // lane entries are tagged: no closure accounting
+	if strict {
+		if best.time >= limit {
+			return entry{}, false
 		}
+	} else if limit >= 0 && best.time > limit {
+		return entry{}, false
 	}
-	return s.popHeap()
+	switch src {
+	case srcSched:
+		s.schedIdx++
+		return *best, true // restored entries are tagged: no closure accounting
+	case srcLane:
+		e := *best
+		s.laneIdx++
+		if s.laneIdx == len(s.lane) {
+			// Drained: rewind so the storage is reused, not regrown.
+			s.lane, s.laneIdx = s.lane[:0], 0
+		}
+		return e, true // lane entries are tagged: no closure accounting
+	default:
+		return s.popHeap(), true
+	}
 }
 
 // popHeap removes and returns the earliest heap entry (hole sift-down of
@@ -442,21 +453,11 @@ func (s *Simulator) Run() {
 func (s *Simulator) RunUntil(until float64) {
 	s.stopped = false
 	for !s.stopped {
-		head, ok := s.peek()
-		if !ok || (until >= 0 && head.time > until) {
+		next, ok := s.popWithin(until, false)
+		if !ok {
 			break
 		}
-		next := s.pop()
-		if next.ev != nil && next.ev.cancelled {
-			continue
-		}
-		s.now = next.time
-		s.fired++
-		if next.ev != nil {
-			next.ev.fn()
-		} else {
-			s.handler(next.kind, next.a, next.b)
-		}
+		s.fire(next)
 	}
 	if until >= 0 && s.now < until {
 		s.now = until
@@ -470,22 +471,11 @@ func (s *Simulator) RunUntil(until float64) {
 // event, so callers interleaving StepUntil with state inspection observe
 // exactly the event-loop schedule.
 func (s *Simulator) StepUntil(until float64) bool {
-	head, ok := s.peek()
-	if !ok || (until >= 0 && head.time > until) {
-		return false
+	next, ok := s.popWithin(until, false)
+	if ok {
+		s.fire(next)
 	}
-	next := s.pop()
-	if next.ev != nil && next.ev.cancelled {
-		return true
-	}
-	s.now = next.time
-	s.fired++
-	if next.ev != nil {
-		next.ev.fn()
-	} else {
-		s.handler(next.kind, next.a, next.b)
-	}
-	return true
+	return ok
 }
 
 // RunBefore executes every event with time strictly less than cut and
@@ -496,20 +486,25 @@ func (s *Simulator) StepUntil(until float64) bool {
 func (s *Simulator) RunBefore(cut float64) {
 	s.stopped = false
 	for !s.stopped {
-		head, ok := s.peek()
-		if !ok || head.time >= cut {
+		next, ok := s.popWithin(cut, true)
+		if !ok {
 			break
 		}
-		next := s.pop()
-		if next.ev != nil && next.ev.cancelled {
-			continue
-		}
-		s.now = next.time
-		s.fired++
-		if next.ev != nil {
-			next.ev.fn()
-		} else {
-			s.handler(next.kind, next.a, next.b)
-		}
+		s.fire(next)
+	}
+}
+
+// fire executes one popped entry: a cancelled closure only drains its
+// slot; anything else advances the clock and runs.
+func (s *Simulator) fire(next entry) {
+	if next.ev != nil && next.ev.cancelled {
+		return
+	}
+	s.now = next.time
+	s.fired++
+	if next.ev != nil {
+		next.ev.fn()
+	} else {
+		s.handler(next.kind, next.a, next.b)
 	}
 }
