@@ -985,8 +985,12 @@ var (
 )
 
 // maxSharedTapes bounds the tape cache. Each (config, seed) pair holds at
-// most one parent recording plus one masked child per in-use density, so
-// the cap covers the same working set maxSharedWarmups does.
+// most one parent recording (which serves the parent density directly)
+// plus one masked child per smaller in-use density, so with the paper's
+// three densities a scenario takes three tape slots against one warm-up
+// slot: the cap holds about 341 scenarios (34 ten-scenario committees)
+// while maxSharedWarmups holds 512 (51 committees). Past it, scenarios
+// whose warm-ups are still shared record their tapes locally.
 const maxSharedTapes = 1024
 
 // sharedTape returns (building once per process) the beacon tape for a

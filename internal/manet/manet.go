@@ -349,9 +349,11 @@ type NeighborEntry struct {
 // conversion runs through the network's active path-loss kernel — the
 // same kernel every eager conversion uses, so read-time values are
 // bit-identical to an eager evaluation under the same physics mode; once
-// performed it is memoised in rx (rxValid), and beacon-tape recording
-// pre-performs it so every replay simulation of the scenario shares one
-// conversion per beacon instead of one per read.
+// performed it is memoised in rx (rxValid). Snapshots and beacon-tape
+// recording pre-perform it, so every instantiation of a warmed scenario
+// shares one conversion per row instead of one per read. Tapes do not
+// store nbrRec rows at all; replay rebuilds each row from the tape's
+// compact layout (see tape.go).
 type nbrRec struct {
 	id        int32
 	hasRx     bool
@@ -453,8 +455,8 @@ func (n *Node) Neighbors() []NeighborEntry {
 			if !e.rxValid {
 				// Deferred conversion through the active kernel: fused
 				// d2-space evaluation, no square root (and memoised, so
-				// each row converts at most once; tape rows arrive
-				// pre-converted by the batched recording path).
+				// each row converts at most once; snapshot and tape rows
+				// arrive pre-converted, so only live beacons reach here).
 				rx = net.kern.RxPower2(cfg.DefaultTxPowerDBm, e.d2)
 				e.rx, e.rxValid = rx, true
 			}
@@ -670,10 +672,11 @@ type Network struct {
 	dataInFlight int
 
 	// tape/tapeCur serve neighbor tables from a recorded beacon tape
-	// (replay mode, see tape.go); tapeRec collects one while recording.
+	// (replay mode, see tape.go; tapeCur holds each receiver's next row);
+	// tapeRec collects one while recording.
 	tape    *BeaconTape
 	tapeCur []int32
-	tapeRec *BeaconTape
+	tapeRec *tapeRecorder
 
 	stats map[int]*BroadcastStats
 	// firstRxPool recycles BroadcastStats first-reception buffers across
@@ -1020,11 +1023,10 @@ func (net *Network) fastBeacon(n *Node) {
 	}
 	rxs := net.kern.RxPowerInto(net.physRx, cfg.DefaultTxPowerDBm, d2s)
 	net.physIDs, net.physD2, net.physRx = ids, d2s, rxs
+	net.tapeRec.add(int32(n.ID), now, ids, rxs)
 	for i, id := range ids {
-		rec := nbrRec{id: int32(n.ID), d2: d2s[i], rx: rxs[i], rxValid: true, lastHeard: now}
-		net.tapeRec.perNode[id] = append(net.tapeRec.perNode[id], rec)
 		other := net.Nodes[id]
-		other.upsertNeighbor(rec)
+		other.upsertNeighbor(nbrRec{id: int32(n.ID), rx: rxs[i], rxValid: true, lastHeard: now})
 		other.RxFrames++
 	}
 }
@@ -1203,11 +1205,13 @@ func (net *Network) transmitFrame(n *Node, msg *Message, txPowerDBm float64, byt
 		}
 		sched = append(sched, rxSched{t: now + prop, rx: rx, id: int32(id)})
 	}
-	// Insertion sort by (arrival time, receiver ID). The batch is small
-	// (a node's in-range receivers) and nearly sorted when propagation
-	// delay is off; the (t, id) key is a strict total order, so the
-	// result — and with it every sequence-number assignment below — is
-	// deterministic.
+	// Insertion sort by (arrival time, receiver ID). The candidates arrive
+	// in spatial-grid order, which neither key follows (arrival time
+	// tracks distance under the default propagation delay), so the sort
+	// does real work; insertion sort suits it because the batch is small
+	// (a node's in-range receivers). The (t, id) key is a strict total
+	// order, so the result — and with it every sequence-number
+	// assignment below — is deterministic.
 	for i := 1; i < len(sched); i++ {
 		e := sched[i]
 		j := i

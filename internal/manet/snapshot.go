@@ -121,10 +121,20 @@ func (net *Network) Snapshot() (*Snapshot, error) {
 		freeRecs:  append([]int32(nil), net.freeRecs...),
 	}
 	for i, n := range net.Nodes {
+		nbrs := append([]nbrRec(nil), n.neighbors...)
+		for j := range nbrs {
+			// Convert deferred fast-beacon rows once, through this
+			// network's kernel — the same value a read would memoise — so
+			// no instantiation of the snapshot (or of its masks) repeats
+			// the log10 per read.
+			if e := &nbrs[j]; !e.hasRx && !e.rxValid {
+				e.rx, e.rxValid = net.kern.RxPower2(net.Cfg.DefaultTxPowerDBm, e.d2), true
+			}
+		}
 		s.nodes[i] = nodeState{
 			mob:        n.mob.Clone(),
 			rng:        n.Rng.Clone(),
-			neighbors:  append([]nbrRec(nil), n.neighbors...),
+			neighbors:  nbrs,
 			active:     append([]int32(nil), n.active...),
 			txUntil:    net.txUntil[i],
 			txEnergyMJ: n.TxEnergyMJ,
@@ -208,9 +218,9 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 	}
 	events := s.events
 	if tape != nil {
-		if len(tape.perNode) != len(s.nodes) {
+		if tape.NumNodes() != len(s.nodes) {
 			panic(fmt.Sprintf("manet: tape recorded at %d nodes cannot replay into a %d-node snapshot (mask the tape to the snapshot size)",
-				len(tape.perNode), len(s.nodes)))
+				tape.NumNodes(), len(s.nodes)))
 		}
 		events = tape.events
 	}
@@ -243,12 +253,7 @@ func (s *Snapshot) instantiate(makeProto func(*Node) Protocol, source int, start
 	net.initHotState()
 	if tape != nil {
 		net.tape = tape
-		if cap(net.tapeCur) < nn {
-			net.tapeCur = make([]int32, nn)
-		} else {
-			net.tapeCur = net.tapeCur[:nn]
-			clear(net.tapeCur)
-		}
+		net.tapeCur = append(net.tapeCur[:0], tape.off[:nn]...)
 	} else {
 		net.tape = nil
 		net.tapeCur = nil

@@ -27,7 +27,20 @@
 // The tie-break assumption: when a beacon and a table read share an exact
 // instant, the beacon applies first. In the event loop the beacon wins
 // the FIFO tie because it was scheduled a full interval earlier, and the
-// tape's `lastHeard <= now` application rule reproduces that order.
+// tape's `beacon instant <= now` application rule reproduces that order.
+//
+// Layout. A tape row never needs a full neighbor-table row: it arrives
+// pre-converted (so the squared distance is dead), and its neighbor ID and
+// timestamp are those of the beacon that produced it. The tape therefore
+// stores one beacon table — sender (int32) and instant (float64) of every
+// recorded beacon with at least one receiver, in firing order — plus the
+// per-receiver rows in CSR (compressed sparse row) form: receiver n owns
+// rows off[n]..off[n+1], in firing order, and each row is a beacon index
+// (int32) and a received power (float64), 12 bytes per upsert. Every
+// array is allocated at its exact final size. A 75-node tape of the
+// default scenario holds about 12,000 upserts from about 750 beacons,
+// roughly 150 KB. Masks share the parent's immutable beacon table and
+// copy only the surviving rows.
 package manet
 
 import (
@@ -40,9 +53,15 @@ import (
 // in (snapshot cut, until]. It is immutable after RecordBeaconTape
 // returns and safe to share across concurrent replay simulations.
 type BeaconTape struct {
-	until   float64
-	events  []sim.TaggedEvent // snapshot schedule with beacon events stripped
-	perNode [][]nbrRec        // upserts per receiver, in firing order
+	until  float64
+	events []sim.TaggedEvent // snapshot schedule with beacon events stripped
+	// Beacon table, in firing order (shared by masks).
+	from []int32
+	at   []float64
+	// Per-receiver rows in CSR form: receiver n owns rows off[n]..off[n+1].
+	off    []int32
+	beacon []int32   // index into the beacon table
+	rx     []float64 // received power in dBm
 }
 
 // Until returns the end of the recorded interval.
@@ -51,15 +70,19 @@ func (t *BeaconTape) Until() float64 { return t.until }
 // NumNodes returns the network size the tape was recorded at. A tape can
 // only replay into snapshots of exactly this size (see InstantiateReplay);
 // smaller scenarios derive their tape with Mask.
-func (t *BeaconTape) NumNodes() int { return len(t.perNode) }
+func (t *BeaconTape) NumNodes() int { return len(t.off) - 1 }
 
 // Upserts returns the total number of recorded neighbor-table updates.
-func (t *BeaconTape) Upserts() int {
-	n := 0
-	for _, p := range t.perNode {
-		n += len(p)
-	}
-	return n
+func (t *BeaconTape) Upserts() int { return len(t.beacon) }
+
+// tapeRecorder collects a tape while RecordBeaconTape runs: the beacon
+// table plus flat (receiver, beacon, rx) rows in firing order.
+type tapeRecorder struct {
+	from   []int32
+	at     []float64
+	recv   []int32
+	beacon []int32
+	rx     []float64
 }
 
 // RecordBeaconTape replays the scenario's beacon schedule from the
@@ -74,17 +97,65 @@ func (s *Snapshot) RecordBeaconTape(until float64) (*BeaconTape, error) {
 	if until < s.now {
 		until = s.now
 	}
-	tape := &BeaconTape{until: until, perNode: make([][]nbrRec, len(s.nodes))}
+	nevents := 0
 	for _, ev := range s.events {
-		if ev.Kind == evBeacon {
-			continue
+		if ev.Kind != evBeacon {
+			nevents++
 		}
-		tape.events = append(tape.events, ev)
 	}
-	rec, _ := s.instantiate(nil, 0, s.now, nil, nil)
-	rec.tapeRec = tape
-	rec.Sim.RunUntil(until)
+	tape := &BeaconTape{until: until, events: make([]sim.TaggedEvent, 0, nevents)}
+	for _, ev := range s.events {
+		if ev.Kind != evBeacon {
+			tape.events = append(tape.events, ev)
+		}
+	}
+	net, _ := s.instantiate(nil, 0, s.now, nil, nil)
+	rec := &tapeRecorder{}
+	net.tapeRec = rec
+	net.Sim.RunUntil(until)
+	rec.layOut(tape, len(s.nodes))
 	return tape, nil
+}
+
+// add records one beacon of sender from at instant at, received by recv
+// with the pre-converted powers rx. A beacon nobody received is not
+// recorded.
+func (r *tapeRecorder) add(from int32, at float64, recv []int32, rx []float64) {
+	if len(recv) == 0 {
+		return
+	}
+	b := int32(len(r.from))
+	r.from = append(r.from, from)
+	r.at = append(r.at, at)
+	r.recv = append(r.recv, recv...)
+	r.rx = append(r.rx, rx...)
+	for range recv {
+		r.beacon = append(r.beacon, b)
+	}
+}
+
+// layOut fills the tape's beacon table and CSR rows from the recording.
+// A stable counting pass by receiver keeps each receiver's rows in firing
+// order, and every array is allocated at its exact final size.
+func (r *tapeRecorder) layOut(t *BeaconTape, nodes int) {
+	t.from = append(make([]int32, 0, len(r.from)), r.from...)
+	t.at = append(make([]float64, 0, len(r.at)), r.at...)
+	t.off = make([]int32, nodes+1)
+	for _, n := range r.recv {
+		t.off[n+1]++
+	}
+	for n := 0; n < nodes; n++ {
+		t.off[n+1] += t.off[n]
+	}
+	t.beacon = make([]int32, len(r.recv))
+	t.rx = make([]float64, len(r.recv))
+	next := append([]int32(nil), t.off[:nodes]...)
+	for i, n := range r.recv {
+		j := next[n]
+		next[n]++
+		t.beacon[j] = r.beacon[i]
+		t.rx[j] = r.rx[i]
+	}
 }
 
 // Mask derives the beacon tape of the k-node sub-network consisting of
@@ -97,42 +168,66 @@ func (s *Snapshot) RecordBeaconTape(until float64) (*BeaconTape, error) {
 // nodes' pending events from the stripped schedule) leaves exactly the
 // tape RecordBeaconTape would produce from the k-node scenario: the same
 // upserts, in the same order, with the same timestamps and pre-converted
-// powers. FuzzTapeMask holds the two event-for-event identical.
+// powers. The derived tape indexes into the parent's beacon table (which
+// still lists the masked senders' beacons; no surviving row refers to
+// them), so only its rows differ in representation from a direct
+// recording: FuzzTapeMask holds the two row-for-row identical in sender,
+// instant and power.
 //
 // k must be in [1, NumNodes]; masking to the full size returns the tape
-// itself. The derived tape shares no mutable state with the parent and is
-// equally safe for concurrent replays.
+// itself. The derived tape shares only the immutable beacon table with
+// the parent and is equally safe for concurrent replays.
 func (t *BeaconTape) Mask(k int) (*BeaconTape, error) {
-	if k < 1 || k > len(t.perNode) {
-		return nil, fmt.Errorf("manet: tape mask size %d outside [1, %d]", k, len(t.perNode))
+	if k < 1 || k > t.NumNodes() {
+		return nil, fmt.Errorf("manet: tape mask size %d outside [1, %d]", k, t.NumNodes())
 	}
-	if k == len(t.perNode) {
+	if k == t.NumNodes() {
 		return t, nil
 	}
-	m := &BeaconTape{until: t.until, perNode: make([][]nbrRec, k)}
+	nevents := 0
 	for _, ev := range t.events {
-		switch ev.Kind {
-		case evMobility:
-			if int(ev.A) < k {
-				m.events = append(m.events, ev)
-			}
-		default:
-			// A fast-beacon warm-up schedule holds only beacon (already
-			// stripped) and mobility events; anything else means the tape
-			// was recorded from a state this derivation cannot reason
-			// about.
+		// A fast-beacon warm-up schedule holds only beacon (already
+		// stripped) and mobility events; anything else means the tape
+		// was recorded from a state this derivation cannot reason about.
+		if ev.Kind != evMobility {
 			return nil, fmt.Errorf("manet: cannot mask recorded event kind %d", ev.Kind)
 		}
+		if int(ev.A) < k {
+			nevents++
+		}
 	}
-	for i := 0; i < k; i++ {
-		src := t.perNode[i]
-		rows := make([]nbrRec, 0, len(src))
-		for _, rec := range src {
-			if int(rec.id) < k {
-				rows = append(rows, rec)
+	m := &BeaconTape{
+		until:  t.until,
+		events: make([]sim.TaggedEvent, 0, nevents),
+		from:   t.from,
+		at:     t.at,
+		off:    make([]int32, k+1),
+	}
+	for _, ev := range t.events {
+		if int(ev.A) < k {
+			m.events = append(m.events, ev)
+		}
+	}
+	// Receivers [0, k) own the contiguous parent rows off[0]..off[k]:
+	// count the survivors per receiver, then copy them in one sweep.
+	for n := 0; n < k; n++ {
+		kept := int32(0)
+		for r := t.off[n]; r < t.off[n+1]; r++ {
+			if int(t.from[t.beacon[r]]) < k {
+				kept++
 			}
 		}
-		m.perNode[i] = rows
+		m.off[n+1] = m.off[n] + kept
+	}
+	m.beacon = make([]int32, m.off[k])
+	m.rx = make([]float64, m.off[k])
+	w := 0
+	for r := t.off[0]; r < t.off[k]; r++ {
+		if int(t.from[t.beacon[r]]) < k {
+			m.beacon[w] = t.beacon[r]
+			m.rx[w] = t.rx[r]
+			w++
+		}
 	}
 	return m, nil
 }
@@ -165,15 +260,20 @@ func (s *Snapshot) InstantiateReplayInto(a *Arena, makeProto func(*Node) Protoco
 
 // syncTape applies every tape upsert for node n that is due at the
 // current instant, bringing the table to exactly the state the eager
-// beacon path would have produced before this read.
+// beacon path would have produced before this read. The cursor is an
+// absolute row index into the tape's CSR rows.
 func (net *Network) syncTape(n *Node) {
-	entries := net.tape.perNode[n.ID]
-	cur := net.tapeCur[n.ID]
+	t := net.tape
+	cur, end := net.tapeCur[n.ID], t.off[n.ID+1]
 	now := net.Sim.Now()
-	for int(cur) < len(entries) && entries[cur].lastHeard <= now {
-		n.upsertNeighbor(entries[cur])
+	for ; cur < end; cur++ {
+		b := t.beacon[cur]
+		at := t.at[b]
+		if at > now {
+			break
+		}
+		n.upsertNeighbor(nbrRec{id: t.from[b], rx: t.rx[cur], rxValid: true, lastHeard: at})
 		n.RxFrames++
-		cur++
 	}
 	net.tapeCur[n.ID] = cur
 }

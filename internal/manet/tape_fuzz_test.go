@@ -6,7 +6,9 @@ import "testing"
 // (density, seed, cut-time, parent-surplus) inputs, the tape derived from
 // a strictly larger parent recording by BeaconTape.Mask must be
 // EVENT-FOR-EVENT identical — same stripped schedule, same per-receiver
-// upsert sequences with the same timestamps and pre-converted powers — to
+// upsert sequences resolved to the same senders, timestamps and
+// pre-converted powers (the masked tape indexes the parent's beacon
+// table, so raw beacon indices legitimately differ) — to
 // a tape recorded from scratch at the masked size, and replaying the
 // masked tape must reproduce the from-scratch simulation bit-identically
 // on every broadcast metric. It also exercises the refusal preconditions:
@@ -69,8 +71,8 @@ func FuzzTapeMask(f *testing.F) {
 				t.Fatalf("schedule event %d: %+v != %+v", i, masked.events[i], direct.events[i])
 			}
 		}
-		for id := range masked.perNode {
-			m, d := masked.perNode[id], direct.perNode[id]
+		for id := 0; id < masked.NumNodes(); id++ {
+			m, d := tapeRows(masked, id), tapeRows(direct, id)
 			if len(m) != len(d) {
 				t.Fatalf("node %d: %d upserts != %d", id, len(m), len(d))
 			}
@@ -111,4 +113,22 @@ func FuzzTapeMask(f *testing.F) {
 			child.InstantiateReplay(newForwardOnce, source, cut, parentTape)
 		}()
 	})
+}
+
+// tapeRow is one tape upsert resolved through the beacon table: the
+// sender, the beacon instant and the pre-converted received power.
+type tapeRow struct {
+	from int32
+	at   float64
+	rx   float64
+}
+
+// tapeRows returns receiver n's upserts in firing order.
+func tapeRows(t *BeaconTape, n int) []tapeRow {
+	var rows []tapeRow
+	for r := t.off[n]; r < t.off[n+1]; r++ {
+		b := t.beacon[r]
+		rows = append(rows, tapeRow{from: t.from[b], at: t.at[b], rx: t.rx[r]})
+	}
+	return rows
 }
