@@ -41,21 +41,6 @@ type Config struct {
 	// BatchWorkers caps the goroutines of one batched evaluation wave set
 	// (0 = GOMAXPROCS).
 	BatchWorkers int
-	// ReferencePath opts every evaluation out of the default fast engine
-	// (beacon-tape replay, broadcast-quiescence early stop, buffer-reuse
-	// arenas, shared masked warm-ups) and into the full-tail reference
-	// simulations. Metrics are bit-identical either way — the golden
-	// corpus and equivalence tests of internal/eval hold the engines to
-	// that — so this knob trades speed for complete per-node accounting
-	// and is primarily the comparison arm of soak runs.
-	ReferencePath bool
-	// UnsharedTapes opts this run's evaluation problem out of the
-	// process-wide beacon-tape cache (eval.WithSharedTapes): every
-	// committee scenario then records its own tape instead of replaying
-	// the shared cross-Problem, cross-density recording. Metrics are
-	// bit-identical either way; the opt-out exists for cache-pressure
-	// control and as the comparison arm of the sharing tests.
-	UnsharedTapes bool
 	// ExactPhysics evaluates every reception power through the reference
 	// per-call path-loss physics (eval.WithExactPhysics) instead of the
 	// default fused d2-space kernel. The arms agree within a ULP-scaled
@@ -143,12 +128,6 @@ func Tune(cfg Config) (*Result, error) {
 	opts = append(opts, eval.WithScenarioWorkers(cfg.ScenarioWorkers))
 	if cfg.BatchWorkers > 0 {
 		opts = append(opts, eval.WithBatchWorkers(cfg.BatchWorkers))
-	}
-	if cfg.ReferencePath {
-		opts = append(opts, eval.WithReferencePath(true))
-	}
-	if cfg.UnsharedTapes {
-		opts = append(opts, eval.WithSharedTapes(false))
 	}
 	if cfg.ExactPhysics {
 		opts = append(opts, eval.WithExactPhysics(true))

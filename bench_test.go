@@ -139,26 +139,17 @@ func BenchmarkEvaluateBatchReference(b *testing.B) {
 // one committee seed and evaluates a small neighborhood on each, so
 // per-Problem setup — warm-up simulation and beacon-tape recording —
 // dominates unless the process-wide caches amortise it across Problems
-// and densities. The unshared variant opts out of both caches and pays
-// the full per-Problem rebuild.
+// and densities. The sub-benchmark keeps its "shared" name so the series
+// in the committed BENCH_PR*.json files stays comparable.
 func BenchmarkMultiProblemSweep(b *testing.B) {
 	xs := batchNeighborhood(8)
-	for _, shared := range []bool{true, false} {
-		name := "shared"
-		var opts []eval.Option
-		if !shared {
-			name = "unshared"
-			opts = []eval.Option{eval.WithSharedTapes(false), eval.WithSharedWarmups(false)}
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, density := range []int{100, 200, 300} {
-					p := eval.NewProblem(density, 1, opts...)
-					p.EvaluateBatch(xs)
-				}
+	b.Run("shared", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, density := range []int{100, 200, 300} {
+				eval.NewProblem(density, 1).EvaluateBatch(xs)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkEvaluateSerial64 is the serial baseline of the batch speedup:

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	aedb-experiments [-scale tiny|small|paper] [-out dir] [-scenario-workers 0] [-reference-path] [-unshared-tapes]
-//	                 [-exact-physics] [-only fig2,tab1,fig6,fig7,tab4,timing,config,ablation,memetic,beacons,mobility,spea2]
+//	aedb-experiments [-scale tiny|small|paper] [-out dir] [-scenario-workers 0] [-exact-physics]
+//	                 [-only fig2,tab1,fig6,fig7,tab4,timing,config,ablation,memetic,beacons,mobility,spea2]
 //	                 [-checkpoint-dir dir] [-checkpoint-every 1000]
 //
 // The default small scale keeps all structural ratios of the paper
@@ -47,8 +47,6 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override the base seed (0 keeps the scale default)")
 	outDir := flag.String("out", "", "directory for machine-readable bundles (JSON) and fronts (CSV); empty disables")
 	scenarioWorkers := flag.Int("scenario-workers", 0, "goroutines per evaluation committee (0 = GOMAXPROCS, 1 = serial; results are bit-identical for any value)")
-	referencePath := flag.Bool("reference-path", false, "evaluate through the full-tail reference engine (bit-identical metrics, slower)")
-	unsharedTapes := flag.Bool("unshared-tapes", false, "record beacon tapes per problem instead of sharing the process-wide cache (bit-identical metrics)")
 	exactPhysics := flag.Bool("exact-physics", false, "reference per-call path-loss physics instead of the fused d2-space kernel (paper-exact energy bits, slower)")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for per-(algorithm,density,run) checkpoints; re-running resumes (empty disables)")
 	checkpointEvery := flag.Int64("checkpoint-every", 1000, "evaluations between checkpoint saves")
@@ -67,8 +65,6 @@ func main() {
 		sc.Seed = *seed
 	}
 	sc.ScenarioWorkers = *scenarioWorkers
-	sc.ReferencePath = *referencePath
-	sc.UnsharedTapes = *unsharedTapes
 	sc.ExactPhysics = *exactPhysics
 	if fid, ferr := eval.ParseFidelity(*fidelity); ferr != nil {
 		log.Fatal(ferr)

@@ -48,12 +48,11 @@
 // rather than an O(N) node scan, which is what lets scenarios scale past
 // 1,000 nodes.
 //
-// # The evaluation engine: fast by default, reference on demand
+// # One production engine, one reference oracle
 //
 // Every evaluation path — serial eval.Problem.Evaluate, the
 // committee-parallel variant, and the batched EvaluateBatch — runs one
-// throughput engine by default (promoted from the batch-only fast path
-// of PR 2 after its soak period):
+// production engine whose layers are unconditional:
 //
 //   - the beacon evolution of each committee scenario is recorded once
 //     PER PROCESS into a manet.BeaconTape — keyed by (config
@@ -62,8 +61,7 @@
 //     densities derive their tape from the largest-committee parent as a
 //     masked prefix (manet.BeaconTape.Mask) — and shared by every
 //     simulation of that scenario, which then strips beacon events from
-//     its schedule entirely (eval.WithSharedTapes /
-//     aedbmls.Config.UnsharedTapes / -unshared-tapes opts out);
+//     its schedule entirely;
 //   - each simulation stops at broadcast quiescence (no pending protocol
 //     timer, no data frame in flight) instead of running its
 //     protocol-independent tail;
@@ -71,6 +69,8 @@
 //     state, the O(N^2) neighbor index, the event heap, the spatial
 //     grid, neighbor tables, first-reception buffers — are recycled
 //     through manet.Arena instead of being reallocated per simulation;
+//     idle arenas wait on a process-wide free list bounded by the core
+//     count;
 //   - warm-up snapshots are shared across densities: the committee is
 //     frozen density-independently, one largest-committee warm-up is
 //     built per scenario seed and masked down per density
@@ -81,24 +81,30 @@
 //     dispatch, whole candidate slices per call — with the sensitivity
 //     cutoff precomputed as a d2-space threshold.
 //
-// eval.WithReferencePath(true) (aedbmls.Config.ReferencePath,
-// experiments.Scale.ReferencePath, the CLIs' -reference-path flag) opts
-// into the full-tail reference engine with complete per-node accounting.
-// The two engines are bit-identical on every objective, violation and
-// Metrics field — pinned by the golden-metrics corpus
+// The process-wide caches are capped; a share-ineligible config (a
+// mobility factory, trace hooks, frame-level beacons), a committee larger
+// than the shared parent, or a full cache sends a scenario down the
+// private path, where the Problem builds its own snapshot and records
+// its own tape. The caps are the memory bound of a long-running process.
+//
+// eval.WithReferencePath(true) selects the reference oracle: the
+// full-tail engine with complete per-node accounting, which the
+// differential tests and the scripts/bench.sh --smoke ratio compare
+// against. The two engines are bit-identical on every objective,
+// violation and Metrics field — pinned by the golden-metrics corpus
 // (internal/eval/testdata/golden_metrics.json), equivalence tables,
 // property and fuzz tests (manet.FuzzSnapshotRoundTrip), and e2e Tune
 // determinism tests, plus a -race CI job.
 //
 // eval.WithExactPhysics(true) (aedbmls.Config.ExactPhysics,
 // experiments.Scale.ExactPhysics, the CLIs' -exact-physics flag) is the
-// physics exactness gate: it swaps the fused kernel for the reference
-// per-call path-loss evaluation. The two physics arms agree within a
+// physics arm, the only other engine selector: it swaps the fused kernel
+// for the reference per-call path-loss evaluation. The two physics arms agree within a
 // ULP-scaled bound per reception power (radio.FuzzKernelVsReference)
 // and exactly on every discrete metric; the continuous energy sums
 // differ in the last mantissa bits, so the golden corpus records both
 // arms and the shared caches fingerprint the flag. See ARCHITECTURE.md
-// for the full caching-layer and knob guide.
+// for the full caching-layer guide.
 //
 // EvaluateBatch additionally evaluates whole candidate sets
 // scenario-major — one arena-backed wave per committee scenario streams

@@ -5,7 +5,7 @@
 // seeds), report fronts holding ONLY full-fidelity metrics, and spend at
 // least 2x fewer full-committee evaluations. Fidelity-off bit-identity
 // to the golden corpus is enforced separately by the eval package's
-// TestGoldenMetricsOptOutMatrix.
+// TestGoldenMetricsEngineMatrix.
 package aedbmls_test
 
 import (

@@ -1,10 +1,13 @@
 package eval
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"aedbmls/internal/aedb"
+	"aedbmls/internal/manet"
 	"aedbmls/internal/moo"
 	"aedbmls/internal/rng"
 )
@@ -71,23 +74,20 @@ func TestEvaluateBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchPathVariants: every engine configuration — fast path
-// off, serial waves, parallel waves, cold (no warm start) — agrees with
-// serial Evaluate exactly.
+// TestEvaluateBatchPathVariants: every engine configuration — the
+// reference oracle, serial waves, parallel waves, the from-scratch
+// fallback (no warm start) on either engine — agrees with serial Evaluate
+// exactly.
 func TestEvaluateBatchPathVariants(t *testing.T) {
 	xs := neighborhood(5, 9)
 	ref := NewProblem(100, 11, WithCommittee(3))
-	for name, opts := range map[string][]Option{
-		"reference-path":  {WithReferencePath(true)},
-		"serial-waves":    {WithBatchWorkers(1)},
-		"parallel-waves":  {WithBatchWorkers(8)},
-		"cold":            {WithWarmStart(false)},
-		"cold-reference":  {WithWarmStart(false), WithReferencePath(true)},
-		"no-buffer-reuse": {WithBufferReuse(false)},
-		"no-sharing":      {WithSharedWarmups(false)},
-		"no-sharing-ref":  {WithSharedWarmups(false), WithReferencePath(true)},
+	for name, p := range map[string]*Problem{
+		"reference-path": NewProblem(100, 11, WithCommittee(3), WithReferencePath(true)),
+		"serial-waves":   NewProblem(100, 11, WithCommittee(3), WithBatchWorkers(1)),
+		"parallel-waves": NewProblem(100, 11, WithCommittee(3), WithBatchWorkers(8)),
+		"cold":           coldProblem(100, 11, WithCommittee(3)),
+		"cold-reference": coldProblem(100, 11, WithCommittee(3), WithReferencePath(true)),
 	} {
-		p := NewProblem(100, 11, append([]Option{WithCommittee(3)}, opts...)...)
 		assertBatchMatchesSerial(t, name, p, ref, xs)
 	}
 }
@@ -171,12 +171,12 @@ func TestEvaluateAllUsesEvalBatch(t *testing.T) {
 }
 
 // TestWaveArenaConcurrentStress is the concurrency gate of the wave
-// arena: one shared Problem with buffer reuse ON (the default) is hit by
-// concurrent Evaluate and EvaluateBatch callers — so arenas circulate
-// through the pool across goroutines while snapshot, tape and masked
-// warm-up builds race on first use — and every result must equal the
-// serial reference engine's. Run under -race this doubles as the data-race
-// detector for the arena recycling.
+// arena: one shared Problem is hit by concurrent Evaluate and
+// EvaluateBatch callers — so arenas circulate through the free list
+// across goroutines while snapshot, tape and masked warm-up builds race
+// on first use — and every result must equal the serial reference
+// oracle's. Run under -race this doubles as the data-race detector for
+// the arena recycling.
 func TestWaveArenaConcurrentStress(t *testing.T) {
 	xs := neighborhood(5, 61)
 	ref := NewProblem(100, 53, WithCommittee(3), WithReferencePath(true))
@@ -187,9 +187,6 @@ func TestWaveArenaConcurrentStress(t *testing.T) {
 	}
 
 	p := NewProblem(100, 53, WithCommittee(3), WithBatchWorkers(4), WithScenarioWorkers(2))
-	if !p.bufferReuse {
-		t.Fatal("buffer reuse must default on — this stress test covers the wave arena")
-	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for w := 0; w < 6; w++ {
@@ -220,6 +217,34 @@ func TestWaveArenaConcurrentStress(t *testing.T) {
 	close(errs)
 	if msg, ok := <-errs; ok {
 		t.Fatal(msg)
+	}
+}
+
+// TestArenaFreeListSurvivesGC: the arenas a batch returns are the ones
+// the next batch checks out, garbage collections in between included, so
+// a steady workload builds the same arenas (and pooled protocols) on
+// every run. A sync.Pool free list fails this: two collections empty it.
+func TestArenaFreeListSurvivesGC(t *testing.T) {
+	// 52 devices/km^2 is 13 nodes, a node count no other test evaluates.
+	p := NewProblem(52, 0xA4E4A, WithCommittee(2), WithBatchWorkers(1))
+	xs := neighborhood(3, 5)
+	idle := func() []*manet.Arena {
+		idleArenas.Lock()
+		defer idleArenas.Unlock()
+		return slices.Clone(idleArenas.byNodes[p.Nodes()])
+	}
+	p.EvaluateBatch(xs)
+	first := idle()
+	if len(first) != 1 {
+		t.Fatalf("a one-worker batch left %d idle arenas, want 1", len(first))
+	}
+	for round := 0; round < 3; round++ {
+		runtime.GC()
+		runtime.GC()
+		p.EvaluateBatch(xs)
+		if got := idle(); !slices.Equal(got, first) {
+			t.Fatalf("round %d: idle arenas %p, want the first batch's %p", round, got, first)
+		}
 	}
 }
 

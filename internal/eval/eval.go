@@ -13,59 +13,61 @@
 // every candidate configuration is judged on exactly the same scenarios,
 // as in the paper.
 //
-// # Warm-start evaluation
-//
-// The warm-up phase of each committee scenario (mobility + beaconing from
-// t=0 to WarmupTime) depends only on the frozen scenario seed, never on
-// the parameter vector under evaluation. The problem therefore builds one
-// manet.Snapshot per scenario on first use and every Evaluate clones from
-// it, simulating only the broadcast phase. The snapshot path is
-// bit-identical to a from-scratch simulation (see manet/snapshot.go for
-// the determinism contract); WithWarmStart(false) forces the from-scratch
-// path, which the equivalence tests compare against.
-//
-// # The default fast path, and the reference path
+// # The production engine
 //
 // Every evaluation path — serial Evaluate, committee-parallel Evaluate,
-// EvaluateBatch — defaults to the throughput engine: beacon-tape replay
-// (the scenario's protocol-independent beacon evolution is recorded once
-// and served lazily to every simulation, see manet/tape.go) plus
-// broadcast-quiescence early stop (each simulation ends the moment the
-// last live forwarding decision is resolved, see manet.RunToQuiescence),
-// with instantiation buffers recycled through per-goroutine arenas
-// (manet.Arena). Objectives, violations and Metrics are bit-identical to
-// the reference engine; per-node frame accounting inside the simulations
-// is not (the dead tail of each simulation is skipped and beacon traffic
-// is replayed, not re-simulated).
+// EvaluateBatch — runs one engine, whose layers are unconditional:
 //
-// WithReferencePath(true) opts a Problem out: every simulation then runs
-// the full-tail reference engine with complete per-node accounting. The
-// golden-metrics corpus and the equivalence tables hold the two engines
-// bit-identical at the Metrics level.
+//   - Warm-start snapshots. The warm-up phase of each committee scenario
+//     (mobility + beaconing from t=0 to WarmupTime) depends only on the
+//     frozen scenario seed, never on the parameter vector under
+//     evaluation, so the problem builds one manet.Snapshot per scenario on
+//     first use and every evaluation clones from it, simulating only the
+//     broadcast phase (see manet/snapshot.go for the determinism
+//     contract). A scenario whose snapshot fails to build falls back to
+//     from-scratch simulation; WarmStartError reports it.
+//   - Cross-density warm-up sharing. The committee scenarios are frozen
+//     from the problem seed alone — not the density — so the same
+//     scenario seed instantiates the 25-, 50- and 75-node committees of
+//     densities 100/200/300 as nested prefixes of one node population.
+//     The warm-up snapshot of each scenario is therefore built once per
+//     process at the largest paper committee size and masked down
+//     (manet.Snapshot.Mask) for smaller densities, through a process-wide
+//     cache shared by every Problem with a share-eligible configuration.
+//   - Process-wide beacon tapes. The scenario's protocol-independent
+//     beacon evolution is recorded once per process at the largest paper
+//     committee size, keyed by (config fingerprint, scenario seed, node
+//     count), and served lazily to every simulation (see manet/tape.go);
+//     each smaller density's tape is a masked prefix of the parent
+//     (manet.BeaconTape.Mask).
+//   - Broadcast-quiescence early stop: each simulation ends the moment
+//     the last live forwarding decision is resolved (see
+//     manet.RunToQuiescence).
+//   - Instantiation arenas (manet.Arena) recycled through a process-wide
+//     free list.
+//   - The fused d2-space path-loss kernel (radio.Kernel).
 //
-// # Cross-density warm-up sharing
+// Both caches are capped (maxSharedWarmups, maxSharedTapes): a config that
+// is not share-eligible (frame-level beacons, a mobility factory, trace
+// hooks), a node count above the shared parent's, or a cache at its cap
+// sends the scenario down the private path — a snapshot built and a tape
+// recorded by the Problem itself. The caps are the process's memory
+// bound; the private path is bit-identical to the shared one.
 //
-// The committee scenarios are frozen from the problem seed alone — not
-// the density — so the same scenario seed instantiates the 25-, 50- and
-// 75-node committees of densities 100/200/300 as nested prefixes of one
-// node population. The warm-up snapshot of each scenario is therefore
-// built once at the largest paper committee size and masked down
-// (manet.Snapshot.Mask) for smaller densities, through a process-wide
-// cache shared by every Problem with a shareable (default-shaped)
-// configuration. WithSharedWarmups(false) opts out; masked and directly
-// built snapshots are bit-identical on every metric.
+// # The reference oracle and the physics arm
 //
-// # Process-wide beacon-tape sharing
+// Two options select a different engine, and only two:
 //
-// Beacon tapes get the same treatment: for share-eligible configurations
-// the tape of each committee scenario is recorded once per process at the
-// largest paper committee size (from the shared warm-up parent) and keyed
-// by (config fingerprint, scenario seed, node count), so concurrent and
-// sequential Problems over the same scenario generator replay one
-// recording, and each smaller density's tape is derived from the parent
-// as a masked prefix (manet.BeaconTape.Mask) instead of re-recorded.
-// WithSharedTapes(false) opts out; shared/masked and per-Problem-recorded
-// tapes are bit-identical on every metric.
+//   - WithReferencePath(true) runs every simulation through the full-tail
+//     reference engine with complete per-node accounting: directly built
+//     snapshots, no tape replay, no arenas, no early stop. Objectives,
+//     violations and Metrics are bit-identical to the production engine;
+//     the golden-metrics corpus and the differential tests compare the
+//     two.
+//   - WithExactPhysics(true) runs the reference per-call path-loss physics
+//     instead of the fused kernel. It agrees on every discrete metric but
+//     changes the last bits of the energy sums, so it is a product
+//     choice, not a test switch.
 //
 // # Batched and committee-parallel evaluation
 //
@@ -73,8 +75,8 @@
 //     whole set of parameter vectors — an MLS neighborhood, a MOEA
 //     offspring generation — scenario-major: one snapshot-clone wave per
 //     committee scenario streams every candidate through that scenario,
-//     reusing one arena per wave, and waves fan out across up to
-//     WithBatchWorkers goroutines.
+//     and waves fan out across up to WithBatchWorkers goroutines, each
+//     reusing one arena for all its waves.
 //   - Every single Evaluate/Simulate/SimulateProtocol call fans its
 //     committee out by default: the calling goroutine claims scenario
 //     indices from a shared counter alongside up to GOMAXPROCS-1 helper
@@ -169,13 +171,9 @@ type Problem struct {
 	committee       int
 	scenarios       []scenario
 	density         int
-	warmStart       bool
 	scenarioWorkers int
 	batchWorkers    int
 	referencePath   bool
-	sharedWarmups   bool
-	sharedTapes     bool
-	bufferReuse     bool
 	exactPhysics    bool
 	maxRetries      int
 	retryBackoff    time.Duration
@@ -188,9 +186,12 @@ type Problem struct {
 	screenFront     ladderState
 	snaps           []warmSlot
 	tapes           []tapeSlot
-	arenas          sync.Pool
 	evals           atomic.Int64
 	health          health
+	// warmStart false forces every scenario down the from-scratch path
+	// that a failed snapshot build falls back to. Only the package's
+	// tests clear it, to hold that fallback bit-identical.
+	warmStart bool
 }
 
 // health is the Problem's supervision counter block (see Health).
@@ -321,11 +322,6 @@ func WithCommittee(n int) Option {
 // the density unless the config sets it).
 func WithConfig(cfg manet.Config) Option { return func(p *Problem) { p.cfg = cfg } }
 
-// WithWarmStart toggles the warm-start snapshot path (default on). With
-// it off, every evaluation re-simulates each scenario's warm-up phase
-// from t=0; the two paths produce bit-identical metrics.
-func WithWarmStart(enabled bool) Option { return func(p *Problem) { p.warmStart = enabled } }
-
 // WithScenarioWorkers sets the committee width of every Evaluate,
 // Simulate and SimulateProtocol call: the calling goroutine plus up to
 // n-1 helpers claim the committee's scenarios from a shared counter.
@@ -346,46 +342,15 @@ func WithScenarioWorkers(n int) Option { return func(p *Problem) { p.scenarioWor
 // batch on the calling goroutine.
 func WithBatchWorkers(n int) Option { return func(p *Problem) { p.batchWorkers = n } }
 
-// WithReferencePath selects the reference evaluation engine (default
-// off): full-tail simulations with complete per-node frame accounting,
-// no beacon-tape replay and directly built (never masked) warm-up
-// snapshots, on every path — serial Evaluate as well as EvaluateBatch. The default engine (quiescence early stop + beacon-tape
-// replay + arena buffer reuse) is bit-identical at the Metrics, objective
-// and violation level; the reference engine is the comparison arm of the
-// golden-metrics corpus and the equivalence tests, and the right choice
+// WithReferencePath selects the reference oracle (default off):
+// full-tail simulations with complete per-node frame accounting, no
+// beacon-tape replay, no arenas and directly built (never masked) warm-up
+// snapshots, on every path — serial Evaluate as well as EvaluateBatch.
+// The production engine is bit-identical to it at the Metrics, objective
+// and violation level; the oracle is the comparison arm of the
+// golden-metrics corpus and the differential tests, and the right choice
 // when per-node Tx/Rx/Lost accounting of the full timeline matters.
-//
-// It replaces the batch-only WithBatchFastPath of the previous engine
-// generation: the fast path is no longer a batch privilege, and the
-// opt-out governs both entry points symmetrically.
 func WithReferencePath(enabled bool) Option { return func(p *Problem) { p.referencePath = enabled } }
-
-// WithSharedWarmups toggles the process-wide warm-up snapshot cache
-// (default on): committee scenarios of share-eligible configurations
-// (the default Table II scenario shape, fast beacons, no trace hooks)
-// build their warm-up once at the largest paper committee size and mask
-// it down per density, so densities 100/200/300 of one seed share one
-// warm-up simulation per scenario. Disabled, every Problem builds its
-// own snapshots at its own node count. Both paths are bit-identical.
-//
-// The opt-out governs where THIS Problem's snapshots come from, not the
-// other process-wide caches: the shared tape cache records its parent
-// tapes from the shared warm-up cache regardless, so a caller bounding
-// process-wide memory should disable WithSharedTapes as well.
-func WithSharedWarmups(enabled bool) Option { return func(p *Problem) { p.sharedWarmups = enabled } }
-
-// WithSharedTapes toggles the process-wide beacon-tape cache (default
-// on): committee scenarios of share-eligible configurations record their
-// beacon tape once at the largest paper committee size — through the same
-// shared warm-up parent the snapshot cache uses — and every Problem with
-// the same (config fingerprint, scenario seed, node count) replays that
-// one recording, with smaller densities deriving their tape from the
-// parent as a masked prefix (manet.BeaconTape.Mask) instead of
-// re-recording. Disabled, every Problem records its own tapes from its
-// own snapshots. Masked/shared and locally recorded tapes are
-// bit-identical on every metric (FuzzTapeMask, the golden corpus and the
-// opt-out matrix hold them to that).
-func WithSharedTapes(enabled bool) Option { return func(p *Problem) { p.sharedTapes = enabled } }
 
 // WithExactPhysics selects the reference per-call path-loss physics
 // (default off): every reception power is then computed as
@@ -405,14 +370,6 @@ func WithSharedTapes(enabled bool) Option { return func(p *Problem) { p.sharedTa
 // off for throughput.
 func WithExactPhysics(enabled bool) Option { return func(p *Problem) { p.exactPhysics = enabled } }
 
-// WithBufferReuse toggles the instantiation arenas of the default engine
-// (default on): node/RNG blocks, the O(N^2) neighbor index, the event
-// heap, the spatial grid and the neighbor tables are recycled across the
-// simulations of a wave (and across serial Evaluate calls) instead of
-// being reallocated per candidate. Bit-identical; disable to A/B the
-// allocation behaviour. The reference path never uses arenas.
-func WithBufferReuse(enabled bool) Option { return func(p *Problem) { p.bufferReuse = enabled } }
-
 // WithMaxRetries sets how many times a failed scenario attempt (panic,
 // construction error, timeout) is retried with backoff before the
 // candidate degrades to FailedMetrics (default 1; 0 disables retries).
@@ -431,7 +388,8 @@ func WithMaxRetries(n int) Option {
 // WithEvalTimeout bounds each supervised scenario attempt (default 0: no
 // timeout). A timed-out attempt counts as a failure (retried, then
 // degraded); its goroutine is abandoned and its arena is never returned
-// to the pool, so a wedged simulation cannot corrupt later evaluations.
+// to the free list, so a wedged simulation cannot corrupt later
+// evaluations.
 func WithEvalTimeout(d time.Duration) Option { return func(p *Problem) { p.evalTimeout = d } }
 
 // WithStop threads a cancellation signal into the Problem: once the
@@ -453,16 +411,13 @@ func NewProblem(density int, seed uint64, opts ...Option) *Problem {
 		}
 	}
 	p := &Problem{
-		cfg:           manet.DefaultScenario(nodes),
-		domain:        aedb.DefaultDomain(),
-		committee:     DefaultCommittee,
-		density:       density,
-		warmStart:     true,
-		sharedWarmups: true,
-		sharedTapes:   true,
-		bufferReuse:   true,
-		maxRetries:    1,
-		retryBackoff:  5 * time.Millisecond,
+		cfg:          manet.DefaultScenario(nodes),
+		domain:       aedb.DefaultDomain(),
+		committee:    DefaultCommittee,
+		density:      density,
+		warmStart:    true,
+		maxRetries:   1,
+		retryBackoff: 5 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(p)
@@ -493,7 +448,6 @@ func NewProblem(density int, seed uint64, opts ...Option) *Problem {
 	}
 	p.snaps = make([]warmSlot, len(p.scenarios))
 	p.tapes = make([]tapeSlot, len(p.scenarios))
-	p.arenas.New = func() any { return manet.NewArena() }
 	return p
 }
 
@@ -596,8 +550,8 @@ func (p *Problem) runCommittee(factory func(*manet.Node) manet.Protocol) Metrics
 	p.health.fullEvals.Add(1)
 	terms := make([]Metrics, len(p.scenarios))
 	errs := make([]error, len(p.scenarios))
-	width := p.forEachScenario(len(p.scenarios), widthOf(p.scenarioWorkers), func(i int) {
-		terms[i], errs[i] = p.supervisedScenario(factory, i, 0)
+	width := p.forEachScenario(len(p.scenarios), widthOf(p.scenarioWorkers), func(i int, slot *arenaSlot) {
+		terms[i], errs[i] = p.supervisedScenario(factory, i, 0, slot)
 	})
 	if err := p.settleCommittee(factory, terms, errs, width > 1, 0); err != nil {
 		return FailedMetrics()
@@ -613,15 +567,17 @@ func (p *Problem) runCommittee(factory func(*manet.Node) manet.Protocol) Metrics
 // A stop-induced abandonment is returned without touching the failure
 // counters — the caller is discarding the result anyway.
 func (p *Problem) settleCommittee(factory func(*manet.Node) manet.Protocol, terms []Metrics, errs []error, wasParallel bool, bound float64) error {
+	var slot arenaSlot
 	for i, err := range errs {
 		if err == nil || errors.Is(err, ErrStopped) {
 			continue
 		}
 		if wasParallel {
 			p.health.serialFallbacks.Add(1)
-			terms[i], errs[i] = p.supervisedScenario(factory, i, bound)
+			terms[i], errs[i] = p.supervisedScenario(factory, i, bound, &slot)
 		}
 	}
+	slot.release(p.cfg.NumNodes)
 	for _, err := range errs {
 		if errors.Is(err, ErrStopped) {
 			return err
@@ -668,8 +624,9 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 // up to maxRetries times with clamped exponential backoff, and attempts
 // are bounded by the per-evaluation timeout when one is configured.
 // A positive bound truncates the simulation at that absolute time (the
-// ladder's screening rung); 0 runs the full horizon.
-func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64) (Metrics, error) {
+// ladder's screening rung); 0 runs the full horizon. The slot carries the
+// calling worker's arena from cell to cell.
+func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64, slot *arenaSlot) (Metrics, error) {
 	var lastErr error
 	for attempt := 0; attempt <= p.maxRetries; attempt++ {
 		if stopRequested(p.stop) {
@@ -679,7 +636,7 @@ func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i
 			p.health.retries.Add(1)
 			time.Sleep(retryDelay(p.retryBackoff, attempt))
 		}
-		m, err := p.attemptScenario(factory, i, bound)
+		m, err := p.attemptScenario(factory, i, bound, slot)
 		if err == nil {
 			return m, nil
 		}
@@ -693,25 +650,29 @@ func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i
 }
 
 // attemptScenario is one bounded attempt of a cell. With no timeout it
-// runs inline; with one it runs in a goroutine that is abandoned (along
-// with its arena) when the deadline passes.
-func (p *Problem) attemptScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64) (Metrics, error) {
+// runs inline; with one it runs in a goroutine, with the slot's arena
+// moved into a slot of its own, that is abandoned (along with that arena)
+// when the deadline passes.
+func (p *Problem) attemptScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64, slot *arenaSlot) (Metrics, error) {
 	if p.evalTimeout <= 0 {
-		return p.recoverScenario(factory, i, bound)
+		return p.recoverScenario(factory, i, bound, slot)
 	}
 	type outcome struct {
 		m   Metrics
 		err error
 	}
 	ch := make(chan outcome, 1)
+	own := &arenaSlot{arena: slot.arena}
+	slot.arena = nil
 	go func() {
-		m, err := p.recoverScenario(factory, i, bound)
+		m, err := p.recoverScenario(factory, i, bound, own)
 		ch <- outcome{m, err}
 	}()
 	timer := time.NewTimer(p.evalTimeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
+		slot.arena = own.arena
 		return o.m, o.err
 	case <-timer.C:
 		p.health.timeouts.Add(1)
@@ -720,10 +681,10 @@ func (p *Problem) attemptScenario(factory func(*manet.Node) manet.Protocol, i in
 }
 
 // recoverScenario runs the raw cell with panic recovery. The arena is
-// acquired inside the attempt and only returned to the pool on full
+// taken out of the slot for the attempt and only put back on full
 // success: a panicked, failed or timed-out attempt abandons its arena,
 // so a partially mutated buffer set can never serve a later simulation.
-func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64) (m Metrics, err error) {
+func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64, slot *arenaSlot) (m Metrics, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.health.panics.Add(1)
@@ -744,11 +705,11 @@ func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i in
 	}
 	var arena *manet.Arena
 	if snap != nil && !p.referencePath {
-		arena = p.getArena()
+		arena = slot.take(p.cfg.NumNodes)
 	}
 	m, err = p.simulateScenario(factory, i, snap, tape, arena, bound)
-	if err == nil {
-		p.putArena(arena)
+	if err == nil && arena != nil {
+		slot.arena = arena
 	}
 	return m, err
 }
@@ -763,25 +724,23 @@ func stopRequested(stop <-chan struct{}) bool {
 	}
 }
 
-// forEachScenario runs fn(i) for the first n committee scenario indices
-// at width min(workers, n): the calling goroutine claims indices from a
-// shared counter alongside width-1 helper goroutines (it runs them inline
-// when the width is 1). It returns the width that actually ran, which is
-// what decides whether a failed cell earns a serial re-attempt (see
+// forEachScenario runs fn(i, slot) for the first n committee scenario
+// indices at width min(workers, n): the calling goroutine claims indices
+// from a shared counter alongside width-1 helper goroutines (it runs them
+// inline when the width is 1). Every claimer passes one arena slot to all
+// its indices and returns the slot's arena to the free list when the
+// indices run out. It returns the width that actually ran, which is what
+// decides whether a failed cell earns a serial re-attempt (see
 // settleCommittee).
-func (p *Problem) forEachScenario(n, workers int, fn func(i int)) int {
-	width := min(workers, n)
-	if width <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return 1
-	}
+func (p *Problem) forEachScenario(n, workers int, fn func(i int, slot *arenaSlot)) int {
+	width := max(min(workers, n), 1)
 	var next atomic.Int64
 	claim := func() {
+		var slot arenaSlot
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i)
+			fn(i, &slot)
 		}
+		slot.release(p.cfg.NumNodes)
 	}
 	var wg sync.WaitGroup
 	wg.Add(width - 1)
@@ -811,14 +770,14 @@ func (p *Problem) snapshot(i int) *manet.Snapshot {
 
 // buildSnapshot builds scenario i's warm-start snapshot, through the
 // process-wide masked-parent cache when the configuration is eligible and
-// falling back to a direct per-density build otherwise (or on any sharing
+// falling back to a private per-density build otherwise (or on any sharing
 // failure — sharing is an optimisation, never a correctness gate). The
 // reference path always builds directly: a masked snapshot inherits the
 // parent's warm-up RxFrames accounting (see Snapshot.Mask), and complete
 // per-node accounting is exactly what WithReferencePath promises.
 func (p *Problem) buildSnapshot(i int) (*manet.Snapshot, error) {
 	sc := p.scenarios[i]
-	if p.sharedWarmups && !p.referencePath && p.cfg.NumNodes <= maskParentNodes {
+	if !p.referencePath && p.cfg.NumNodes <= maskParentNodes {
 		if key, ok := sharedCfgKeyOf(p.cfg); ok {
 			if parent, err := sharedWarmup(key, p.cfg, sc.seed); err == nil {
 				if snap, err := parent.Mask(p.cfg.NumNodes); err == nil {
@@ -1044,8 +1003,8 @@ func sharedTape(key sharedCfgKey, cfg manet.Config, seed uint64, nodes int) (*ma
 // WarmStartError reports why warm-start evaluation is degraded, if it is:
 // non-nil means at least one scenario snapshot failed to build and every
 // evaluation of that scenario silently re-simulates its warm-up from
-// scratch (correct, but ~4x slower). Nil if warm start is disabled, no
-// snapshot has been attempted yet, or all attempted builds succeeded.
+// scratch (correct, but ~4x slower). Nil if no snapshot has been
+// attempted yet or all attempted builds succeeded.
 func (p *Problem) WarmStartError() error {
 	for i := range p.snaps {
 		if !p.snaps[i].done.Load() {
@@ -1127,22 +1086,65 @@ func runToQuiescenceUntil(net *manet.Network, end float64) {
 	}
 }
 
-// getArena checks an instantiation arena out of the Problem's pool (nil
-// when buffer reuse is disabled: the manet layer treats a nil arena as a
-// fresh one-shot buffer set, i.e. the plain allocating path).
-func (p *Problem) getArena() *manet.Arena {
-	if !p.bufferReuse {
-		return nil
+// idleArenas is the process-wide free list of instantiation arenas, one
+// stack per node count, so an arena keeps serving networks of the size it
+// has grown to. Unlike a sync.Pool, which a garbage collection may empty
+// between two calls, it keeps every returned arena up to GOMAXPROCS per
+// node count (at most GOMAXPROCS simulations run at once): a steady
+// workload builds the same arenas on every run, and the memory held is
+// bounded by the core count, not by how many Problems a process keeps.
+var idleArenas = struct {
+	sync.Mutex
+	byNodes map[int][]*manet.Arena
+}{byNodes: map[int][]*manet.Arena{}}
+
+// maxArenaSizes bounds how many node counts idleArenas holds arenas for:
+// the three paper densities plus one custom size. A further size flushes
+// the list, so a process sweeping many densities keeps its bound.
+const maxArenaSizes = 4
+
+// arenaSlot is the arena one fan-out worker carries from cell to cell, so
+// a worker visits the free list once per call rather than once per
+// simulation. recoverScenario takes the arena out for each attempt and
+// puts it back only when the attempt succeeds.
+type arenaSlot struct{ arena *manet.Arena }
+
+// take removes the slot's arena, checking out an idle arena of the given
+// node count (or a new one) when the slot is empty.
+func (s *arenaSlot) take(nodes int) *manet.Arena {
+	a := s.arena
+	s.arena = nil
+	if a != nil {
+		return a
 	}
-	return p.arenas.Get().(*manet.Arena)
+	idleArenas.Lock()
+	defer idleArenas.Unlock()
+	stack := idleArenas.byNodes[nodes]
+	if len(stack) == 0 {
+		return manet.NewArena()
+	}
+	a = stack[len(stack)-1]
+	stack[len(stack)-1] = nil
+	idleArenas.byNodes[nodes] = stack[:len(stack)-1]
+	return a
 }
 
-// putArena returns an arena to the pool. The caller must have extracted
-// everything it needs from the last instantiation first.
-func (p *Problem) putArena(a *manet.Arena) {
-	if a != nil {
-		p.arenas.Put(a)
+// release returns the slot's arena, if it holds one, to the free list, or
+// drops it when its node count's stack is full.
+func (s *arenaSlot) release(nodes int) {
+	if s.arena == nil {
+		return
 	}
+	idleArenas.Lock()
+	defer idleArenas.Unlock()
+	stack, ok := idleArenas.byNodes[nodes]
+	if !ok && len(idleArenas.byNodes) >= maxArenaSizes {
+		clear(idleArenas.byNodes)
+	}
+	if len(stack) < runtime.GOMAXPROCS(0) {
+		idleArenas.byNodes[nodes] = append(stack, s.arena)
+	}
+	s.arena = nil
 }
 
 // SimulateProtocol runs the committee with an arbitrary protocol factory
@@ -1206,7 +1208,9 @@ func (p *Problem) runWaves(factories []func(*manet.Node) manet.Protocol, nsc int
 	n := len(factories)
 	terms := make([]Metrics, n*nsc) // terms[j*nsc+i]: candidate j, scenario i
 	errs := make([]error, n*nsc)
-	width := p.forEachScenario(nsc, widthOf(p.batchWorkers), func(i int) { p.batchWave(factories, i, nsc, bound, terms, errs) })
+	width := p.forEachScenario(nsc, widthOf(p.batchWorkers), func(i int, slot *arenaSlot) {
+		p.batchWave(factories, i, nsc, bound, terms, errs, slot)
+	})
 
 	ms := make([]Metrics, n)
 	stopped := make([]bool, n)
@@ -1255,19 +1259,19 @@ func widthOf(configured int) int {
 // batchWave streams every candidate of the batch through committee
 // scenario i — one snapshot-clone wave. On the default engine the wave
 // resolves (once, cached on the Problem) the scenario's warm snapshot and
-// beacon tape, instantiates replay networks into pool-recycled arenas and
+// beacon tape, instantiates replay networks into the worker's arena and
 // stops each simulation at broadcast quiescence; the reference engine
 // runs every candidate through the allocating full-tail path. Every cell
 // runs under the supervisor, so one candidate's failure is recorded in
 // errs and the wave moves on (a failed cell's arena is abandoned, never
-// re-pooled — see recoverScenario).
-func (p *Problem) batchWave(factories []func(*manet.Node) manet.Protocol, i, nsc int, bound float64, terms []Metrics, errs []error) {
+// re-used — see recoverScenario).
+func (p *Problem) batchWave(factories []func(*manet.Node) manet.Protocol, i, nsc int, bound float64, terms []Metrics, errs []error, slot *arenaSlot) {
 	for j, factory := range factories {
 		if stopRequested(p.stop) {
 			errs[j*nsc+i] = ErrStopped
 			continue
 		}
-		terms[j*nsc+i], errs[j*nsc+i] = p.supervisedScenario(factory, i, bound)
+		terms[j*nsc+i], errs[j*nsc+i] = p.supervisedScenario(factory, i, bound, slot)
 	}
 }
 
@@ -1285,7 +1289,7 @@ func (p *Problem) tapeFor(i int, snap *manet.Snapshot) *manet.BeaconTape {
 	}
 	slot := &p.tapes[i]
 	slot.once.Do(func() {
-		if p.sharedTapes && !p.referencePath && p.cfg.NumNodes <= maskParentNodes {
+		if !p.referencePath && p.cfg.NumNodes <= maskParentNodes {
 			if key, ok := sharedCfgKeyOf(p.cfg); ok {
 				if tape, err := sharedTape(key, p.cfg, p.scenarios[i].seed, p.cfg.NumNodes); err == nil {
 					slot.tape = tape
@@ -1302,10 +1306,10 @@ func (p *Problem) tapeFor(i int, snap *manet.Snapshot) *manet.BeaconTape {
 // identity: density, node count, committee scenarios (seeds and sources),
 // decision-space bounds, the physics arm, and the share-eligible config
 // fields (the same set sharedCfgKey compares, so two Problems with equal
-// fingerprints never mix incompatible caches). Performance knobs — worker
-// counts, cache sharing, buffer reuse, the reference path — are
-// deliberately excluded: they are all bit-identical at the Metrics level,
-// so a resumed study may legally change its parallelism. Configs carrying
+// fingerprints never mix incompatible caches). Worker counts, retry and
+// timeout settings and the reference oracle are deliberately excluded:
+// they are all bit-identical at the Metrics level, so a resumed study may
+// legally change its parallelism or re-run on the oracle. Configs carrying
 // per-scenario callbacks cannot be fingerprinted stably; their hook
 // presence is folded in and consistency across resume is on the caller.
 //

@@ -15,6 +15,15 @@ func tinyProblem(density int, seed uint64) *Problem {
 	return NewProblem(density, seed, WithCommittee(3))
 }
 
+// coldProblem builds a Problem forced down the from-scratch path — the
+// fallback of a scenario whose warm-up snapshot failed to build — so
+// every evaluation re-simulates each scenario's warm-up from t=0.
+func coldProblem(density int, seed uint64, opts ...Option) *Problem {
+	p := NewProblem(density, seed, opts...)
+	p.warmStart = false
+	return p
+}
+
 func TestProblemShape(t *testing.T) {
 	p := tinyProblem(100, 1)
 	if p.Dim() != aedb.NumParams || p.NumObjectives() != 3 {
@@ -211,7 +220,7 @@ func TestWarmStartBitIdentical(t *testing.T) {
 	for _, density := range []int{100, 200, 300} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			warm := NewProblem(density, seed, WithCommittee(3))
-			cold := NewProblem(density, seed, WithCommittee(3), WithWarmStart(false))
+			cold := coldProblem(density, seed, WithCommittee(3))
 			mw := warm.Simulate(params)
 			mc := cold.Simulate(params)
 			if mw != mc {
@@ -277,7 +286,7 @@ func TestLargeCommittee(t *testing.T) {
 func TestWarmStartConcurrent(t *testing.T) {
 	p := NewProblem(100, 31, WithCommittee(3))
 	x := aedb.Params{MinDelay: 0.1, MaxDelay: 0.3, BorderThresholdDBm: -80, MarginDBm: 1, NeighborsThreshold: 10}.Vector()
-	ref := NewProblem(100, 31, WithCommittee(3), WithWarmStart(false))
+	ref := coldProblem(100, 31, WithCommittee(3))
 	want, _, _ := ref.Evaluate(x)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)

@@ -34,8 +34,8 @@ func TestDefaultFanOutMatchesSerialOnGoldenCorpus(t *testing.T) {
 // committee seeds no other test uses — so every warm-up parent, mask and
 // beacon tape is built by the fanned-out committee itself — run
 // concurrently from several Problems per density, racing each other on
-// the process-wide caches, must match an isolated serial Problem (no
-// shared caches, WithScenarioWorkers(1)) bit-for-bit. Run under -race
+// the process-wide caches, must match the serial reference oracle
+// (WithReferencePath, WithScenarioWorkers(1)) bit-for-bit. Run under -race
 // this is the data-race detector of the fan-out's first-use builds.
 func TestColdFanOutConcurrentProblemsBitIdentical(t *testing.T) {
 	forceFanOut(t)
@@ -55,10 +55,10 @@ func TestColdFanOutConcurrentProblemsBitIdentical(t *testing.T) {
 	want := map[key][]Metrics{}
 	for _, d := range densities {
 		for _, seed := range seeds {
-			iso := NewProblem(d, seed, WithCommittee(committee), WithScenarioWorkers(1),
-				WithSharedTapes(false), WithSharedWarmups(false))
+			oracle := NewProblem(d, seed, WithCommittee(committee), WithScenarioWorkers(1),
+				WithReferencePath(true))
 			for _, x := range xs {
-				_, _, aux := iso.Evaluate(x)
+				_, _, aux := oracle.Evaluate(x)
 				want[key{d, seed}] = append(want[key{d, seed}], aux.(Metrics))
 			}
 		}
@@ -76,7 +76,7 @@ func TestColdFanOutConcurrentProblemsBitIdentical(t *testing.T) {
 					for j, x := range xs {
 						_, _, aux := p.Evaluate(x)
 						if aux.(Metrics) != want[k][j] {
-							errs <- fmt.Sprintf("d%d seed %#x vector %d: fanned-out metrics diverged from the serial isolated problem",
+							errs <- fmt.Sprintf("d%d seed %#x vector %d: fanned-out metrics diverged from the serial reference oracle",
 								k.density, k.seed, j)
 							return
 						}

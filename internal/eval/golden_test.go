@@ -130,8 +130,8 @@ func simulateCase(c goldenCase, opts ...Option) Metrics {
 
 // TestGoldenMetrics is the anti-drift wall of the evaluation engine:
 // every committed corpus entry must be reproduced bit-for-bit by BOTH
-// engines — the default fast path (beacon-tape replay, quiescence early
-// stop, arena reuse, shared masked warm-ups) and the reference path —
+// engines — the production engine (beacon-tape replay, quiescence early
+// stop, arena reuse, shared masked warm-ups) and the reference oracle —
 // under BOTH physics arms (the fused d2-space kernel, and the reference
 // per-call physics of WithExactPhysics), across all paper densities and
 // several committee seeds. A failure means a numeric path silently
@@ -160,7 +160,6 @@ func TestGoldenMetrics(t *testing.T) {
 		for pathName, m := range map[string]Metrics{
 			"default":         simulateCase(e.goldenCase),
 			"reference":       simulateCase(e.goldenCase, WithReferencePath(true)),
-			"unshared":        simulateCase(e.goldenCase, WithSharedWarmups(false), WithBufferReuse(false)),
 			"exact":           simulateCase(e.goldenCase, WithExactPhysics(true)),
 			"exact-reference": simulateCase(e.goldenCase, WithExactPhysics(true), WithReferencePath(true)),
 		} {

@@ -97,7 +97,8 @@ func TestConstructionErrorDegrades(t *testing.T) {
 	if err := faultinject.Configure("site=eval.build,kind=error"); err != nil {
 		t.Fatal(err)
 	}
-	p := robustProblem(WithWarmStart(false))
+	p := robustProblem()
+	p.warmStart = false
 	f, _, _ := p.Evaluate(robustX)
 	if f[0] != failedPenalty {
 		t.Fatalf("construction failure did not degrade: %v", f)
@@ -241,10 +242,10 @@ func TestFingerprintIdentity(t *testing.T) {
 		t.Fatal("identical problems fingerprint differently")
 	}
 	perf := NewProblem(100, 7, WithCommittee(3),
-		WithScenarioWorkers(4), WithBatchWorkers(2), WithSharedTapes(false),
-		WithSharedWarmups(false), WithBufferReuse(false), WithMaxRetries(5)).Fingerprint()
+		WithScenarioWorkers(4), WithBatchWorkers(2), WithReferencePath(true),
+		WithMaxRetries(5)).Fingerprint()
 	if perf != base {
-		t.Fatal("perf knobs moved the fingerprint")
+		t.Fatal("perf knobs or the reference oracle moved the fingerprint")
 	}
 	// A disabled fidelity ladder must leave the fingerprint byte-identical
 	// (old checkpoints keep resuming); an enabled one must move it, and so

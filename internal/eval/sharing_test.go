@@ -10,6 +10,10 @@ import (
 	"testing"
 
 	"aedbmls/internal/aedb"
+	"aedbmls/internal/geom"
+	"aedbmls/internal/manet"
+	"aedbmls/internal/mobility"
+	"aedbmls/internal/rng"
 )
 
 // loadGoldenEntries reads the committed golden-metrics corpus (shared
@@ -44,15 +48,14 @@ func assertGoldenMetrics(t *testing.T, name string, want goldenMetrics, m Metric
 	}
 }
 
-// TestGoldenMetricsOptOutMatrix replays the golden corpus under EVERY
-// combination of the five engine opt-outs — shared tapes, shared
-// warm-ups, buffer reuse, reference path, exact physics (32 combos) — so
-// no flag combination can drift numerically unnoticed: whatever subset
-// of the caches, fast paths and physics arms a caller ends up on, the
-// metrics must still be the committed bit-exact ones for that physics
-// arm. Under -short the corpus is thinned to one seed per density (the
-// full matrix runs in the regular suite).
-func TestGoldenMetricsOptOutMatrix(t *testing.T) {
+// TestGoldenMetricsEngineMatrix replays the golden corpus on every
+// engine a caller can select — production engine or reference oracle,
+// fused kernel or exact physics, with and without the fidelity ladder
+// (8 combinations) — so no selection can drift numerically unnoticed: the
+// metrics must be the committed bit-exact ones for that physics arm.
+// Under -short the corpus is thinned to one seed per density (the full
+// matrix runs in the regular suite).
+func TestGoldenMetricsEngineMatrix(t *testing.T) {
 	entries := loadGoldenEntries(t)
 	if testing.Short() {
 		var thin []goldenEntry
@@ -66,33 +69,21 @@ func TestGoldenMetricsOptOutMatrix(t *testing.T) {
 		entries = thin
 	}
 	for _, ladder := range []bool{false, true} {
-		for _, tapes := range []bool{true, false} {
-			for _, warmups := range []bool{true, false} {
-				for _, arena := range []bool{true, false} {
-					for _, ref := range []bool{false, true} {
-						for _, exact := range []bool{false, true} {
-							combo := fmt.Sprintf("ladder=%v/tapes=%v/warmups=%v/arena=%v/ref=%v/exact=%v", ladder, tapes, warmups, arena, ref, exact)
-							opts := []Option{
-								WithSharedTapes(tapes),
-								WithSharedWarmups(warmups),
-								WithBufferReuse(arena),
-								WithReferencePath(ref),
-								WithExactPhysics(exact),
-							}
-							if ladder {
-								// The ladder is a batch-triage policy: the
-								// serial Simulate/Evaluate path must stay
-								// bit-identical with the harshest rung on.
-								opts = append(opts,
-									WithFidelity(Fidelity{Committee: 1, Horizon: 0.5}),
-									WithPromoteEpsilon(0.01))
-							}
-							for _, e := range entries {
-								name := fmt.Sprintf("%s d%d/seed%d", combo, e.Density, e.Seed)
-								assertGoldenMetrics(t, name, e.want(exact), simulateCase(e.goldenCase, opts...))
-							}
-						}
-					}
+		for _, ref := range []bool{false, true} {
+			for _, exact := range []bool{false, true} {
+				combo := fmt.Sprintf("ladder=%v/ref=%v/exact=%v", ladder, ref, exact)
+				opts := []Option{WithReferencePath(ref), WithExactPhysics(exact)}
+				if ladder {
+					// The ladder is a batch-triage policy: the serial
+					// Simulate/Evaluate path must stay bit-identical with
+					// the harshest rung on.
+					opts = append(opts,
+						WithFidelity(Fidelity{Committee: 1, Horizon: 0.5}),
+						WithPromoteEpsilon(0.01))
+				}
+				for _, e := range entries {
+					name := fmt.Sprintf("%s d%d/seed%d", combo, e.Density, e.Seed)
+					assertGoldenMetrics(t, name, e.want(exact), simulateCase(e.goldenCase, opts...))
 				}
 			}
 		}
@@ -143,9 +134,9 @@ func TestGoldenMetricsLadderPromotion(t *testing.T) {
 // TestSharedTapesOneRecordingPerScenario pins the sharing itself, not
 // just its numerics: two default-configured Problems over the same
 // (seed, density) must end up replaying the SAME tape object per
-// scenario (one process-wide recording), two densities of one seed must
-// share the parent recording through masked derivation, and the
-// WithSharedTapes(false) opt-out must record privately.
+// scenario (one process-wide recording), and two densities of one seed
+// must share the parent recording through masked derivation. The private
+// path is TestPrivatePathMatchesOracle's.
 func TestSharedTapesOneRecordingPerScenario(t *testing.T) {
 	const seed = 98765
 	x := aedb.Params{MinDelay: 0.1, MaxDelay: 0.4, BorderThresholdDBm: -81, MarginDBm: 1, NeighborsThreshold: 12}.Vector()
@@ -168,14 +159,6 @@ func TestSharedTapesOneRecordingPerScenario(t *testing.T) {
 		}
 		if ta.NumNodes() != p1.Nodes() {
 			t.Fatalf("scenario %d: tape for %d nodes serving a %d-node problem", i, ta.NumNodes(), p1.Nodes())
-		}
-	}
-	// Opt-out: a private recording, not the shared one.
-	p3 := NewProblem(100, seed, WithCommittee(2), WithSharedTapes(false))
-	force(p3)
-	for i := range p3.tapes {
-		if p3.tapes[i].tape == p1.tapes[i].tape {
-			t.Fatalf("scenario %d: opted-out Problem replays the shared tape", i)
 		}
 	}
 	// Cross-density: the d300 problem replays the parent recording the
@@ -252,20 +235,20 @@ func TestSharedTapeCacheFullNotMemoized(t *testing.T) {
 // determinism gate of the process-wide caches: N Problems built and
 // evaluated CONCURRENTLY over the same scenario configuration — so
 // first-use tape recordings, masked derivations and warm-up builds race
-// on the shared caches — must produce metrics bit-identical to isolated
-// Problems (sharing disabled) evaluated serially. Run under -race this
-// doubles as the data-race detector for the shared tape cache.
+// on the shared caches — must produce metrics bit-identical to the
+// reference oracle (directly built snapshots, no tapes) evaluated
+// serially. Run under -race this doubles as the data-race detector for
+// the shared tape cache.
 func TestCrossProblemSharedCachesBitIdentical(t *testing.T) {
 	const seed = 1357911
 	xs := neighborhood(3, 17)
 	densities := []int{100, 200, 300}
 	want := map[int][]Metrics{}
 	for _, d := range densities {
-		iso := NewProblem(d, seed, WithCommittee(3),
-			WithSharedTapes(false), WithSharedWarmups(false))
+		oracle := NewProblem(d, seed, WithCommittee(3), WithReferencePath(true))
 		ms := make([]Metrics, len(xs))
 		for j, x := range xs {
-			_, _, aux := iso.Evaluate(x)
+			_, _, aux := oracle.Evaluate(x)
 			ms[j] = aux.(Metrics)
 		}
 		want[d] = ms
@@ -283,7 +266,7 @@ func TestCrossProblemSharedCachesBitIdentical(t *testing.T) {
 				for j, x := range xs {
 					_, _, aux := p.Evaluate(x)
 					if aux.(Metrics) != want[d][j] {
-						errs <- fmt.Sprintf("density %d vector %d: shared-cache metrics diverged from isolated problem", d, j)
+						errs <- fmt.Sprintf("density %d vector %d: shared-cache metrics diverged from the reference oracle", d, j)
 						return
 					}
 				}
@@ -297,5 +280,66 @@ func TestCrossProblemSharedCachesBitIdentical(t *testing.T) {
 	close(errs)
 	if msg, ok := <-errs; ok {
 		t.Fatal(msg)
+	}
+}
+
+// TestPrivatePathMatchesOracle drives the private path — a snapshot built
+// and a tape recorded by the Problem itself, no process-wide cache entry —
+// through the production inputs that take it: a density whose committee
+// (100 nodes at 400 devices/km^2) is larger than the shared parent, and
+// the mobility ablation's Gauss-Markov config, whose mobility factory
+// makes it share-ineligible. Evaluate and EvaluateBatch must both match
+// the reference oracle bit-for-bit.
+func TestPrivatePathMatchesOracle(t *testing.T) {
+	gaussMarkov := manet.DefaultScenario(DensityNodes[100])
+	gaussMarkov.MakeMobility = func(_ int, r *rng.Rand) mobility.Model {
+		return mobility.NewGaussMarkov(geom.Square(500), 0.75, 1.0, 1.0, r)
+	}
+	xs := neighborhood(3, 43)
+	for _, tc := range []struct {
+		name    string
+		density int
+		seed    uint64
+		opts    []Option
+	}{
+		{"above-parent", 400, 0x9417A7E1, nil},
+		{"mobility-factory", 100, 0x9417A7E2, []Option{WithConfig(gaussMarkov)}},
+	} {
+		opts := append([]Option{WithCommittee(3)}, tc.opts...)
+		p := NewProblem(tc.density, tc.seed, opts...)
+		oracle := NewProblem(tc.density, tc.seed, append(opts, WithReferencePath(true))...)
+		if tc.density == 400 && p.Nodes() <= maskParentNodes {
+			t.Fatalf("%s: %d nodes does not exceed the shared parent's %d", tc.name, p.Nodes(), maskParentNodes)
+		}
+		batch := p.EvaluateBatch(xs)
+		for j, x := range xs {
+			_, _, want := oracle.Evaluate(x)
+			if _, _, got := p.Evaluate(x); got.(Metrics) != want.(Metrics) {
+				t.Fatalf("%s vector %d: Evaluate %+v, oracle %+v", tc.name, j, got, want)
+			}
+			if got := batch[j].Aux.(Metrics); got != want.(Metrics) {
+				t.Fatalf("%s vector %d: EvaluateBatch %+v, oracle %+v", tc.name, j, got, want)
+			}
+		}
+		if err := p.WarmStartError(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, sc := range p.scenarios {
+			if tape := p.tapes[i].tape; tape == nil || tape.NumNodes() != p.Nodes() {
+				t.Fatalf("%s scenario %d: no private %d-node tape recorded", tc.name, i, p.Nodes())
+			}
+			sharedTapeCache.Range(func(k, _ any) bool {
+				if k := k.(tapeKey); k.seed == sc.seed {
+					t.Errorf("%s scenario %d: shared tape entry at %d nodes", tc.name, i, k.nodes)
+				}
+				return true
+			})
+			sharedWarmupCache.Range(func(k, _ any) bool {
+				if k.(warmupKey).seed == sc.seed {
+					t.Errorf("%s scenario %d: shared warm-up entry", tc.name, i)
+				}
+				return true
+			})
+		}
 	}
 }

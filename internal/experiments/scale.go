@@ -46,17 +46,6 @@ type Scale struct {
 	// (eval.WithScenarioWorkers); metrics are bit-identical for any value.
 	// 0 derives it from GOMAXPROCS, 1 evaluates serially, n > 1 caps it.
 	ScenarioWorkers int
-	// ReferencePath runs every evaluation through the full-tail reference
-	// engine instead of the default fast engine (eval.WithReferencePath).
-	// Metrics are bit-identical; paper-reproduction runs may set it to
-	// soak the equivalence contract at scale.
-	ReferencePath bool
-	// UnsharedTapes opts every problem of this scale out of the
-	// process-wide beacon-tape cache (eval.WithSharedTapes): each
-	// per-density problem then records its own committee tapes instead of
-	// sharing one recording per scenario across the density sweep.
-	// Metrics are bit-identical either way.
-	UnsharedTapes bool
 	// ExactPhysics evaluates every problem of this scale through the
 	// reference per-call path-loss physics (eval.WithExactPhysics)
 	// instead of the fused d2-space kernel: the choice for runs that must
@@ -172,12 +161,6 @@ func ScaleByName(name string) (Scale, error) {
 // is built with.
 func (s Scale) EvalOptions() []eval.Option {
 	opts := []eval.Option{eval.WithCommittee(s.Committee), eval.WithScenarioWorkers(s.ScenarioWorkers)}
-	if s.ReferencePath {
-		opts = append(opts, eval.WithReferencePath(true))
-	}
-	if s.UnsharedTapes {
-		opts = append(opts, eval.WithSharedTapes(false))
-	}
 	if s.ExactPhysics {
 		opts = append(opts, eval.WithExactPhysics(true))
 	}

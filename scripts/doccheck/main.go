@@ -1,8 +1,9 @@
 // Command doccheck fails (exit 1) when an exported identifier in any of
 // the listed package directories lacks a doc comment. CI runs it over
 // the public documentation surface of this repository — the root aedbmls
-// package and internal/radio — so the guides in ARCHITECTURE.md and the
-// godoc entry points they link to cannot silently rot as the code moves.
+// package, internal/radio, internal/eval and internal/experiments — so
+// the guides in ARCHITECTURE.md and the godoc entry points they link to
+// cannot silently rot as the code moves.
 //
 // Usage:
 //
@@ -10,7 +11,9 @@
 //
 // Checked: exported top-level functions and methods, exported type
 // specs, and exported const/var names (a doc comment on the enclosing
-// group satisfies its members). Test files are ignored.
+// group satisfies its members). Test files are ignored. A directory that
+// cannot be read or parsed, or that holds no Go package, fails the check
+// with its own message: a mistyped path must not pass as documented.
 package main
 
 import (
@@ -28,25 +31,35 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: doccheck <pkgdir> [pkgdir...]")
 		os.Exit(2)
 	}
-	bad := 0
+	bad, failed := 0, false
 	for _, dir := range os.Args[1:] {
-		bad += checkDir(dir)
+		n, err := checkDir(dir)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+			failed = true
+		}
+		bad += n
 	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d exported identifier(s) without doc comments\n", bad)
+	}
+	if bad > 0 || failed {
 		os.Exit(1)
 	}
 }
 
 // checkDir parses one package directory and reports every exported
-// identifier without documentation, returning the count.
-func checkDir(dir string) int {
+// identifier without documentation, returning the count. It fails when
+// the directory cannot be parsed or holds no Go package.
+func checkDir(dir string) (int, error) {
 	fset := token.NewFileSet()
 	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
 	pkgs, err := parser.ParseDir(fset, dir, notTest, parser.ParseComments)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %s: %v\n", dir, err)
-		return 1
+		return 0, fmt.Errorf("%s: cannot read package: %w", dir, err)
+	}
+	if len(pkgs) == 0 {
+		return 0, fmt.Errorf("%s: no Go package (no non-test .go files)", dir)
 	}
 	bad := 0
 	report := func(pos token.Pos, kind, name string) {
@@ -85,5 +98,5 @@ func checkDir(dir string) int {
 			}
 		}
 	}
-	return bad
+	return bad, nil
 }
