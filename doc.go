@@ -69,7 +69,7 @@
 //     state, the O(N^2) neighbor index, the event heap, the spatial
 //     grid, neighbor tables, first-reception buffers — are recycled
 //     through manet.Arena instead of being reallocated per simulation;
-//     idle arenas wait on a process-wide free list bounded by the core
+//     idle arenas wait on a process-wide free list, one stack per node
 //     count;
 //   - warm-up snapshots are shared across densities: the committee is
 //     frozen density-independently, one largest-committee warm-up is

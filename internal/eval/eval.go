@@ -75,8 +75,7 @@
 //     whole set of parameter vectors — an MLS neighborhood, a MOEA
 //     offspring generation — scenario-major: one snapshot-clone wave per
 //     committee scenario streams every candidate through that scenario,
-//     and waves fan out across up to WithBatchWorkers goroutines, each
-//     reusing one arena for all its waves.
+//     and waves fan out across up to WithBatchWorkers goroutines.
 //   - Every single Evaluate/Simulate/SimulateProtocol call fans its
 //     committee out by default: the calling goroutine claims scenario
 //     indices from a shared counter alongside up to GOMAXPROCS-1 helper
@@ -550,8 +549,8 @@ func (p *Problem) runCommittee(factory func(*manet.Node) manet.Protocol) Metrics
 	p.health.fullEvals.Add(1)
 	terms := make([]Metrics, len(p.scenarios))
 	errs := make([]error, len(p.scenarios))
-	width := p.forEachScenario(len(p.scenarios), widthOf(p.scenarioWorkers), func(i int, slot *arenaSlot) {
-		terms[i], errs[i] = p.supervisedScenario(factory, i, 0, slot)
+	width := p.forEachScenario(len(p.scenarios), widthOf(p.scenarioWorkers), func(i int) {
+		terms[i], errs[i] = p.supervisedScenario(factory, i, 0)
 	})
 	if err := p.settleCommittee(factory, terms, errs, width > 1, 0); err != nil {
 		return FailedMetrics()
@@ -567,17 +566,15 @@ func (p *Problem) runCommittee(factory func(*manet.Node) manet.Protocol) Metrics
 // A stop-induced abandonment is returned without touching the failure
 // counters — the caller is discarding the result anyway.
 func (p *Problem) settleCommittee(factory func(*manet.Node) manet.Protocol, terms []Metrics, errs []error, wasParallel bool, bound float64) error {
-	var slot arenaSlot
 	for i, err := range errs {
 		if err == nil || errors.Is(err, ErrStopped) {
 			continue
 		}
 		if wasParallel {
 			p.health.serialFallbacks.Add(1)
-			terms[i], errs[i] = p.supervisedScenario(factory, i, bound, &slot)
+			terms[i], errs[i] = p.supervisedScenario(factory, i, bound)
 		}
 	}
-	slot.release(p.cfg.NumNodes)
 	for _, err := range errs {
 		if errors.Is(err, ErrStopped) {
 			return err
@@ -624,9 +621,8 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 // up to maxRetries times with clamped exponential backoff, and attempts
 // are bounded by the per-evaluation timeout when one is configured.
 // A positive bound truncates the simulation at that absolute time (the
-// ladder's screening rung); 0 runs the full horizon. The slot carries the
-// calling worker's arena from cell to cell.
-func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64, slot *arenaSlot) (Metrics, error) {
+// ladder's screening rung); 0 runs the full horizon.
+func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64) (Metrics, error) {
 	var lastErr error
 	for attempt := 0; attempt <= p.maxRetries; attempt++ {
 		if stopRequested(p.stop) {
@@ -636,7 +632,7 @@ func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i
 			p.health.retries.Add(1)
 			time.Sleep(retryDelay(p.retryBackoff, attempt))
 		}
-		m, err := p.attemptScenario(factory, i, bound, slot)
+		m, err := p.attemptScenario(factory, i, bound)
 		if err == nil {
 			return m, nil
 		}
@@ -650,29 +646,25 @@ func (p *Problem) supervisedScenario(factory func(*manet.Node) manet.Protocol, i
 }
 
 // attemptScenario is one bounded attempt of a cell. With no timeout it
-// runs inline; with one it runs in a goroutine, with the slot's arena
-// moved into a slot of its own, that is abandoned (along with that arena)
-// when the deadline passes.
-func (p *Problem) attemptScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64, slot *arenaSlot) (Metrics, error) {
+// runs inline; with one it runs in a goroutine that is abandoned (along
+// with its arena) when the deadline passes.
+func (p *Problem) attemptScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64) (Metrics, error) {
 	if p.evalTimeout <= 0 {
-		return p.recoverScenario(factory, i, bound, slot)
+		return p.recoverScenario(factory, i, bound)
 	}
 	type outcome struct {
 		m   Metrics
 		err error
 	}
 	ch := make(chan outcome, 1)
-	own := &arenaSlot{arena: slot.arena}
-	slot.arena = nil
 	go func() {
-		m, err := p.recoverScenario(factory, i, bound, own)
+		m, err := p.recoverScenario(factory, i, bound)
 		ch <- outcome{m, err}
 	}()
 	timer := time.NewTimer(p.evalTimeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
-		slot.arena = own.arena
 		return o.m, o.err
 	case <-timer.C:
 		p.health.timeouts.Add(1)
@@ -681,10 +673,11 @@ func (p *Problem) attemptScenario(factory func(*manet.Node) manet.Protocol, i in
 }
 
 // recoverScenario runs the raw cell with panic recovery. The arena is
-// taken out of the slot for the attempt and only put back on full
-// success: a panicked, failed or timed-out attempt abandons its arena,
-// so a partially mutated buffer set can never serve a later simulation.
-func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64, slot *arenaSlot) (m Metrics, err error) {
+// checked out inside the attempt and only returned to the free list on
+// full success: a panicked, failed or timed-out attempt abandons its
+// arena, so a partially mutated buffer set can never serve a later
+// simulation.
+func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i int, bound float64) (m Metrics, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.health.panics.Add(1)
@@ -705,11 +698,11 @@ func (p *Problem) recoverScenario(factory func(*manet.Node) manet.Protocol, i in
 	}
 	var arena *manet.Arena
 	if snap != nil && !p.referencePath {
-		arena = slot.take(p.cfg.NumNodes)
+		arena = p.getArena()
 	}
 	m, err = p.simulateScenario(factory, i, snap, tape, arena, bound)
 	if err == nil && arena != nil {
-		slot.arena = arena
+		p.putArena(arena)
 	}
 	return m, err
 }
@@ -724,23 +717,25 @@ func stopRequested(stop <-chan struct{}) bool {
 	}
 }
 
-// forEachScenario runs fn(i, slot) for the first n committee scenario
-// indices at width min(workers, n): the calling goroutine claims indices
-// from a shared counter alongside width-1 helper goroutines (it runs them
-// inline when the width is 1). Every claimer passes one arena slot to all
-// its indices and returns the slot's arena to the free list when the
-// indices run out. It returns the width that actually ran, which is what
-// decides whether a failed cell earns a serial re-attempt (see
+// forEachScenario runs fn(i) for the first n committee scenario indices
+// at width min(workers, n): the calling goroutine claims indices from a
+// shared counter alongside width-1 helper goroutines (it runs them inline
+// when the width is 1). It returns the width that actually ran, which is
+// what decides whether a failed cell earns a serial re-attempt (see
 // settleCommittee).
-func (p *Problem) forEachScenario(n, workers int, fn func(i int, slot *arenaSlot)) int {
-	width := max(min(workers, n), 1)
+func (p *Problem) forEachScenario(n, workers int, fn func(i int)) int {
+	width := min(workers, n)
+	if width <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return 1
+	}
 	var next atomic.Int64
 	claim := func() {
-		var slot arenaSlot
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i, &slot)
+			fn(i)
 		}
-		slot.release(p.cfg.NumNodes)
 	}
 	var wg sync.WaitGroup
 	wg.Add(width - 1)
@@ -1089,10 +1084,11 @@ func runToQuiescenceUntil(net *manet.Network, end float64) {
 // idleArenas is the process-wide free list of instantiation arenas, one
 // stack per node count, so an arena keeps serving networks of the size it
 // has grown to. Unlike a sync.Pool, which a garbage collection may empty
-// between two calls, it keeps every returned arena up to GOMAXPROCS per
-// node count (at most GOMAXPROCS simulations run at once): a steady
-// workload builds the same arenas on every run, and the memory held is
-// bounded by the core count, not by how many Problems a process keeps.
+// between two calls, it keeps every arena returned to it. It needs no cap
+// of its own: getArena builds an arena only when the stack of its size is
+// empty, that is when every arena of that size is checked out, so a stack
+// never holds more arenas than the most simulations of that size that
+// have run at once — the arenas that were live then anyway.
 var idleArenas = struct {
 	sync.Mutex
 	byNodes map[int][]*manet.Arena
@@ -1103,48 +1099,32 @@ var idleArenas = struct {
 // the list, so a process sweeping many densities keeps its bound.
 const maxArenaSizes = 4
 
-// arenaSlot is the arena one fan-out worker carries from cell to cell, so
-// a worker visits the free list once per call rather than once per
-// simulation. recoverScenario takes the arena out for each attempt and
-// puts it back only when the attempt succeeds.
-type arenaSlot struct{ arena *manet.Arena }
-
-// take removes the slot's arena, checking out an idle arena of the given
-// node count (or a new one) when the slot is empty.
-func (s *arenaSlot) take(nodes int) *manet.Arena {
-	a := s.arena
-	s.arena = nil
-	if a != nil {
-		return a
-	}
+// getArena checks an idle arena of the Problem's node count out of the
+// free list, or builds one when none is idle.
+func (p *Problem) getArena() *manet.Arena {
 	idleArenas.Lock()
 	defer idleArenas.Unlock()
-	stack := idleArenas.byNodes[nodes]
+	stack := idleArenas.byNodes[p.cfg.NumNodes]
 	if len(stack) == 0 {
 		return manet.NewArena()
 	}
-	a = stack[len(stack)-1]
+	a := stack[len(stack)-1]
 	stack[len(stack)-1] = nil
-	idleArenas.byNodes[nodes] = stack[:len(stack)-1]
+	idleArenas.byNodes[p.cfg.NumNodes] = stack[:len(stack)-1]
 	return a
 }
 
-// release returns the slot's arena, if it holds one, to the free list, or
-// drops it when its node count's stack is full.
-func (s *arenaSlot) release(nodes int) {
-	if s.arena == nil {
-		return
-	}
+// putArena releases an arena (see manet.Arena.Release) and returns it to
+// the free list. The caller must have extracted the metrics first.
+func (p *Problem) putArena(a *manet.Arena) {
+	a.Release()
 	idleArenas.Lock()
 	defer idleArenas.Unlock()
-	stack, ok := idleArenas.byNodes[nodes]
+	stack, ok := idleArenas.byNodes[p.cfg.NumNodes]
 	if !ok && len(idleArenas.byNodes) >= maxArenaSizes {
 		clear(idleArenas.byNodes)
 	}
-	if len(stack) < runtime.GOMAXPROCS(0) {
-		idleArenas.byNodes[nodes] = append(stack, s.arena)
-	}
-	s.arena = nil
+	idleArenas.byNodes[p.cfg.NumNodes] = append(stack, a)
 }
 
 // SimulateProtocol runs the committee with an arbitrary protocol factory
@@ -1208,9 +1188,7 @@ func (p *Problem) runWaves(factories []func(*manet.Node) manet.Protocol, nsc int
 	n := len(factories)
 	terms := make([]Metrics, n*nsc) // terms[j*nsc+i]: candidate j, scenario i
 	errs := make([]error, n*nsc)
-	width := p.forEachScenario(nsc, widthOf(p.batchWorkers), func(i int, slot *arenaSlot) {
-		p.batchWave(factories, i, nsc, bound, terms, errs, slot)
-	})
+	width := p.forEachScenario(nsc, widthOf(p.batchWorkers), func(i int) { p.batchWave(factories, i, nsc, bound, terms, errs) })
 
 	ms := make([]Metrics, n)
 	stopped := make([]bool, n)
@@ -1259,19 +1237,19 @@ func widthOf(configured int) int {
 // batchWave streams every candidate of the batch through committee
 // scenario i — one snapshot-clone wave. On the default engine the wave
 // resolves (once, cached on the Problem) the scenario's warm snapshot and
-// beacon tape, instantiates replay networks into the worker's arena and
+// beacon tape, instantiates replay networks into free-list arenas and
 // stops each simulation at broadcast quiescence; the reference engine
 // runs every candidate through the allocating full-tail path. Every cell
 // runs under the supervisor, so one candidate's failure is recorded in
 // errs and the wave moves on (a failed cell's arena is abandoned, never
 // re-used — see recoverScenario).
-func (p *Problem) batchWave(factories []func(*manet.Node) manet.Protocol, i, nsc int, bound float64, terms []Metrics, errs []error, slot *arenaSlot) {
+func (p *Problem) batchWave(factories []func(*manet.Node) manet.Protocol, i, nsc int, bound float64, terms []Metrics, errs []error) {
 	for j, factory := range factories {
 		if stopRequested(p.stop) {
 			errs[j*nsc+i] = ErrStopped
 			continue
 		}
-		terms[j*nsc+i], errs[j*nsc+i] = p.supervisedScenario(factory, i, bound, slot)
+		terms[j*nsc+i], errs[j*nsc+i] = p.supervisedScenario(factory, i, bound)
 	}
 }
 

@@ -133,3 +133,42 @@ func TestPositionMemoStampStartsInvalid(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaReleaseDropsInputs: a released arena keeps no reference to its
+// last network's beacon tape, configuration or non-recyclable protocol
+// instances, and a network instantiated into it afterwards replays
+// bit-identically to one from a fresh arena.
+func TestArenaReleaseDropsInputs(t *testing.T) {
+	cfg := DefaultScenario(12)
+	cfg.WarmupTime = 2
+	cfg.EndTime = 6
+	snap, err := BuildSnapshot(cfg, 3, cfg.WarmupTime)
+	if err != nil {
+		t.Fatalf("BuildSnapshot: %v", err)
+	}
+	tape, err := snap.RecordBeaconTape(cfg.EndTime)
+	if err != nil {
+		t.Fatalf("RecordBeaconTape: %v", err)
+	}
+	a := NewArena()
+	net, _ := snap.InstantiateReplayInto(a, newForwardOnce, 0, cfg.WarmupTime, tape)
+	net.RunToQuiescence()
+	a.Release()
+	if net.tape != nil {
+		t.Error("released arena still references the beacon tape")
+	}
+	if net.Cfg.NumNodes != 0 {
+		t.Errorf("released arena still holds the configuration (%d nodes)", net.Cfg.NumNodes)
+	}
+	for i := range a.nodeBlock {
+		if a.nodeBlock[i].proto != nil {
+			t.Fatalf("released arena still holds node %d's protocol instance", i)
+		}
+	}
+
+	got, gotSt := snap.InstantiateReplayInto(a, newForwardOnce, 1, cfg.WarmupTime, tape)
+	got.RunToQuiescence()
+	want, wantSt := snap.InstantiateReplay(newForwardOnce, 1, cfg.WarmupTime, tape)
+	want.RunToQuiescence()
+	assertSameBroadcast(t, "released arena", wantSt, want, gotSt, got)
+}

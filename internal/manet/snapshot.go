@@ -207,6 +207,27 @@ type Arena struct {
 // use and reused afterwards.
 func NewArena() *Arena { return &Arena{} }
 
+// Release drops the arena's references to the inputs of its last
+// network: the beacon tape, the configuration (which may carry a
+// mobility factory or trace hooks) and every protocol instance that is
+// not a ProtoRecycler. An arena parked between simulations then keeps
+// only its own buffers, plus the recyclable instances the next
+// instantiation hands back to their pool. Like an instantiation, it
+// invalidates the network the arena last returned.
+func (a *Arena) Release() {
+	if a.net == nil {
+		return
+	}
+	a.net.tape = nil
+	a.net.Cfg = Config{}
+	for i := range a.nodeBlock {
+		n := &a.nodeBlock[i]
+		if _, ok := n.proto.(ProtoRecycler); !ok {
+			n.proto = nil
+		}
+	}
+}
+
 // instantiate is the shared body of the Instantiate variants: with a
 // tape, the restored schedule is the tape's beacon-stripped one and
 // neighbor tables are served lazily from the tape (see tape.go); with an
